@@ -145,12 +145,12 @@ def cmd_animate(args):
         "family": spec.kind,
         "t0": spec.t0, "t1": spec.t1, "frames": records,
         "grid": args.grid, "rmin": grid.s[0], "rmax": grid.s[-1],
-        "timings": {"total_s": time.perf_counter() - start},
     }
     with open(os.path.join(args.outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(records)} frames to {args.outdir}")
+    elapsed = time.perf_counter() - start
+    print(f"wrote {len(records)} frames to {args.outdir} in {elapsed:.1f}s")
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Mesh assembly and deterministic OBJ/PLY output.
 
 OBJ carries geometry only (17 significant digits, so floats round-trip
-exactly); per-vertex scalar channels go to a sidecar ASCII PLY.  Quad
+exactly); per-vertex scalar channels go to a sidecar ASCII PLY.  Channels
+are computed on the first read of ``MeshArtifact.attributes``, so a mesh
+written as OBJ only (every ``animate`` frame) never computes them.  Quad
 winding follows the grid orientation, which by construction matches the
 surface normal.  The angular seam at phi = +/-pi is sampled twice (both
 cut edges are grid columns), so single-valued surfaces close up
@@ -10,7 +12,9 @@ geometrically without any stitched faces across the cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -18,18 +22,24 @@ from .bendneutral import bending_drilling_field
 from .errors import InvalidInputError
 from .weierstrass import WeierstrassSurface
 
+# Rows formatted by one ``%`` and written by one ``write``: large enough to
+# amortise the per-call cost, small enough to keep each text buffer to a
+# few MB.
+BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class MeshArtifact:
     """Grid mesh with named per-vertex attribute channels.
 
-    Attributes are keyed by channel name; vector channels have shape
-    (n_vertices, 3), scalar ones (n_vertices,).
+    ``channels`` builds the channel dict; it runs once, on the first read
+    of ``attributes``.  Channels are keyed by name; vector channels have
+    shape (n_vertices, 3), scalar ones (n_vertices,).
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    attributes: dict = field(default_factory=dict)
+    channels: Callable[[], dict] = dict
 
     def __post_init__(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -38,14 +48,19 @@ class MeshArtifact:
                                 or self.faces.max() >= len(self.vertices)):
             raise InvalidInputError("face indices out of range")
 
+    @cached_property
+    def attributes(self) -> dict:
+        return self.channels()
+
 
 def mesh_from_surface(surface: WeierstrassSurface) -> MeshArtifact:
     """Quad mesh of the sampled immersion with analysis channels.
 
-    Channels: ``normal`` (the shared normal map), ``gauss_curvature``,
-    ``stretch`` (conformal factor of the flat-to-surface map), ``drill``
-    (its drilling angle about e3, nan on pi-turn loci) and
-    ``bending_norm`` (magnitude 1/rho of the universal bending content).
+    Channels, computed on the first read of ``attributes``: ``normal``
+    (the shared normal map), ``gauss_curvature``, ``stretch`` (conformal
+    factor of the flat-to-surface map), ``drill`` (its drilling angle
+    about e3, nan on pi-turn loci) and ``bending_norm`` (magnitude 1/rho
+    of the universal bending content).
     """
     ns, nt = surface.grid.shape
     vertices = surface.r.reshape(-1, 3)
@@ -56,19 +71,21 @@ def mesh_from_surface(surface: WeierstrassSurface) -> MeshArtifact:
         idx[1:, 1:].ravel(),
         idx[:-1, 1:].ravel(),
     ], axis=1)
+    return MeshArtifact(vertices, faces, partial(_surface_channels, surface))
 
+
+def _surface_channels(surface: WeierstrassSurface) -> dict:
     content = bending_drilling_field(surface)
     with np.errstate(invalid="ignore"):
         drill = np.where(content.valid_d,
                          2.0 * np.arctan(content.d[..., 2]), np.nan)
-    attributes = {
+    return {
         "normal": surface.nu.reshape(-1, 3),
         "gauss_curvature": surface.curvature.K.ravel(),
         "stretch": surface.conformal_factor.ravel(),
         "drill": drill.ravel(),
         "bending_norm": np.linalg.norm(content.b, axis=-1).ravel(),
     }
-    return MeshArtifact(vertices, faces, attributes)
 
 
 def face_normal_alignment(mesh: MeshArtifact) -> float:
@@ -84,12 +101,23 @@ def face_normal_alignment(mesh: MeshArtifact) -> float:
     return float(np.einsum("ij,ij->i", n, nu_face).min())
 
 
+def _write_rows(fh, row_fmt, table):
+    """Write each row of a 2-D array as ``row_fmt % tuple(row)``.
+
+    ``"%.17g" % x`` spells a float exactly as ``f"{x:.17g}"`` does, and
+    ``"%d" % i`` an integer as ``str(i)``.
+    """
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_obj(mesh: MeshArtifact, path):
-    lines = [f"# minsurf mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces"]
-    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-    lines += ["f " + " ".join(str(i + 1) for i in quad) for quad in mesh.faces]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# minsurf mesh: {len(mesh.vertices)} vertices, "
+                 f"{len(mesh.faces)} faces\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d %d\n", mesh.faces + 1)
 
 
 def parse_obj(path):
@@ -127,8 +155,7 @@ def write_ply(mesh: MeshArtifact, path):
     cols += [mesh.attributes[name][:, None] for name in scalar_names]
     table = np.hstack(cols)
 
-    lines = header
-    lines += [" ".join(f"{val:.17g}" for val in row) for row in table]
-    lines += ["4 " + " ".join(str(i) for i in quad) for quad in mesh.faces]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        _write_rows(fh, " ".join(["%.17g"] * table.shape[1]) + "\n", table)
+        _write_rows(fh, "4 %d %d %d %d\n", mesh.faces)

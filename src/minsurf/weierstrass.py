@@ -461,12 +461,11 @@ def _edge_integrals(datum, grid, axis):
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 
-def _quadrature_position(datum, grid, column_first=False):
-    """Cumulative path integrals from the anchor node along grid lines."""
-    i0, j0 = grid.anchor
-    edges_s = _edge_integrals(datum, grid, axis=0)
-    edges_t = _edge_integrals(datum, grid, axis=1)
-    ns, nt = grid.shape
+def _quadrature_position(edges_s, edges_t, anchor, column_first=False):
+    """Cumulative path integrals from the anchor node along grid lines,
+    given the edge integrals of both axes (:func:`_edge_integrals`)."""
+    i0, j0 = anchor
+    ns, nt = edges_t.shape[0], edges_s.shape[1]
     out = np.zeros((ns, nt, 3), dtype=complex)
 
     if column_first:
@@ -519,8 +518,11 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
         _, _, rho, phi = grid.coords
         r = _catalog_position(datum.power, rho, phi)
     else:
-        r = _quadrature_position(datum, grid)
-        alt = _quadrature_position(datum, grid, column_first=True)
+        edges_s = _edge_integrals(datum, grid, axis=0)
+        edges_t = _edge_integrals(datum, grid, axis=1)
+        r = _quadrature_position(edges_s, edges_t, grid.anchor)
+        alt = _quadrature_position(edges_s, edges_t, grid.anchor,
+                                   column_first=True)
         path_residual = float(np.abs(r - alt).max())
     i0, j0 = grid.anchor
     r = r - r[i0, j0]

@@ -15,6 +15,62 @@ def read_bytes(path):
         return fh.read()
 
 
+def reference_obj(mesh):
+    """One f-string per row: the spelling write_obj must reproduce."""
+    lines = [f"# minsurf mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces"]
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    lines += ["f " + " ".join(str(i + 1) for i in quad) for quad in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def reference_ply(mesh):
+    """One f-string per value: the spelling write_ply must reproduce."""
+    scalar_names = [k for k, a in mesh.attributes.items() if a.ndim == 1]
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}",
+             "property double x", "property double y", "property double z",
+             "property double nx", "property double ny", "property double nz"]
+    lines += [f"property double {name}" for name in scalar_names]
+    lines += [f"element face {len(mesh.faces)}",
+              "property list uchar int vertex_indices", "end_header"]
+    table = np.hstack([mesh.vertices, mesh.attributes["normal"]]
+                      + [mesh.attributes[name][:, None] for name in scalar_names])
+    lines += [" ".join(f"{val:.17g}" for val in row) for row in table]
+    lines += ["4 " + " ".join(str(i) for i in quad) for quad in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def assert_text_equal(path, expected):
+    """Byte equality, reported by the first differing line: pytest's full
+    diff of megabytes of text would take minutes."""
+    got = read_bytes(path).decode().splitlines(keepends=True)
+    want = expected.splitlines(keepends=True)
+    for number, (line, ref) in enumerate(zip(got, want), start=1):
+        assert line == ref, f"line {number}"
+    assert len(got) == len(want)
+
+
+def awkward_mesh():
+    """More rows than one write block (and not a multiple of it), with
+    signed zeros, infinities, extreme exponents and nan channel values."""
+    rng = np.random.default_rng(7)
+    n = 2 * meshio.BLOCK_ROWS + 321
+    special = [0.0, -0.0, np.inf, -np.inf, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3]
+
+    def column(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        a.flat[:len(special)] = special
+        return a
+
+    vertices = column((n, 3))
+    faces = rng.integers(0, n, (n - 5, 4))
+    faces[0] = [0, n - 1, 0, n - 1]
+    drill = column(n)
+    drill[rng.random(n) < 0.1] = np.nan
+    channels = {"normal": column((n, 3)), "gauss_curvature": column(n),
+                "stretch": column(n), "drill": drill, "bending_norm": column(n)}
+    return meshio.MeshArtifact(vertices, faces, lambda: channels)
+
+
 class TestGen:
     def test_writes_expected_vertex_count(self, tmp_path):
         out = tmp_path / "enneper.obj"
@@ -113,6 +169,18 @@ class TestMeshArtifact:
         np.testing.assert_allclose(mesh.attributes["bending_norm"],
                                    1.0 / surface.grid.coords[2].ravel())
 
+    def test_obj_bytes_match_reference(self, tmp_path):
+        mesh = awkward_mesh()
+        path = tmp_path / "awkward.obj"
+        meshio.write_obj(mesh, path)
+        assert_text_equal(path, reference_obj(mesh))
+
+    def test_ply_bytes_match_reference(self, tmp_path):
+        mesh = awkward_mesh()
+        path = tmp_path / "awkward.ply"
+        meshio.write_ply(mesh, path)
+        assert_text_equal(path, reference_ply(mesh))
+
 
 class TestAnimate:
     def test_bour_family_frames(self, tmp_path):
@@ -148,6 +216,31 @@ class TestAnimate:
                          "--outdir", str(outdir)]) == 0
             outs.append(read_bytes(outdir / "frame_0002.obj"))
         assert outs[0] == outs[1]
+
+    def test_output_directory_identical_across_threads(self, tmp_path, monkeypatch):
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MINSURF_THREADS", threads)
+            outdir = tmp_path / f"frames{threads}"
+            assert main(["animate", "--family", "bour-t", "--frames", "4",
+                         "--grid", "10x10", "--rmin", "0.2",
+                         "--outdir", str(outdir)]) == 0
+            trees.append({p.name: read_bytes(p) for p in sorted(outdir.iterdir())})
+        assert "manifest.json" in trees[0]
+        assert trees[0] == trees[1]
+
+    def test_obj_output_computes_no_channel(self, tmp_path, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("channel computed for an OBJ-only command")
+
+        monkeypatch.setattr("minsurf.meshio.bending_drilling_field", unread)
+        monkeypatch.setattr("minsurf.weierstrass.curvature_closed_form", unread)
+        outdir = tmp_path / "frames"
+        assert main(["animate", "--family", "bour-t", "--frames", "3",
+                     "--grid", "10x10", "--rmin", "0.2",
+                     "--outdir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.glob("*.obj")) == [
+            "frame_0000.obj", "frame_0001.obj", "frame_0002.obj"]
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
