@@ -49,6 +49,28 @@ def _threads():
         raise InvalidInputError(f"MINSURF_THREADS must be an integer, got {raw!r}")
 
 
+def _config_value(action, key, value):
+    """A config-file value, parsed as argparse parses the flag's argument."""
+    if action.nargs == 0:      # a store_true flag
+        kinds = (bool,)
+    elif action.type is None:  # a string option
+        kinds = (str,)
+    else:                      # parsed by its type, so 2.5 fails as "2.5" would
+        kinds = (str, int, float)
+    if type(value) not in kinds:
+        raise InvalidInputError(
+            f"config key {key!r} has a value of the wrong type: {value!r}")
+    if float in kinds:
+        try:
+            value = action.type(str(value))
+        except ValueError as exc:
+            raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInputError(f"config key {key!r} must be one of "
+                                f"{', '.join(action.choices)}")
+    return value
+
+
 def _merge_config(args, parser):
     """Overlay config-file values under explicit command-line flags."""
     if not getattr(args, "config", None):
@@ -58,14 +80,16 @@ def _merge_config(args, parser):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
-    defaults = {action.dest: action.default for action in parser._actions
-                if action.dest not in ("help", "func", "subparser")}
+    if not isinstance(data, dict):
+        raise InvalidInputError("config file must hold a JSON object")
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "func", "subparser")}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in defaults:
+        if dest not in actions:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if getattr(args, dest) == defaults[dest]:
-            setattr(args, dest, value)
+        if getattr(args, dest) == actions[dest].default:
+            setattr(args, dest, _config_value(actions[dest], key, value))
     return args
 
 
@@ -132,15 +156,17 @@ def cmd_animate(args):
     grid = _build_grid(worst_member, args)
 
     start = time.perf_counter()
-    frames = family_frames(spec, grid, threads=_threads())
     os.makedirs(args.outdir, exist_ok=True)
-    records = []
-    for frame in frames:
+
+    def write(frame):
         name = f"frame_{frame.index:04d}.obj"
         mesh = meshio.mesh_from_surface(frame.surface)
         meshio.write_obj(mesh, os.path.join(args.outdir, name))
-        records.append({"index": frame.index, "t": frame.t,
-                        "scale": frame.scale, "file": name})
+        return {"index": frame.index, "t": frame.t,
+                "scale": frame.scale, "file": name}
+
+    # each frame is meshed and written by the worker that built it
+    records = family_frames(spec, grid, threads=_threads(), each=write)
     manifest = {
         "family": spec.kind,
         "t0": spec.t0, "t1": spec.t1, "frames": records,

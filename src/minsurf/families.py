@@ -119,15 +119,22 @@ def validate_family(spec: FamilySpec, grid: DomainGrid, tol=1e-6):
             f"(residuals {rep.max_phi_harmonic:.3e}, {rep.max_chi_harmonic:.3e})")
 
 
-def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1):
-    """Build one surface per frame, uniformly spaced in t."""
+def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):
+    """Build one surface per frame, uniformly spaced in t.
+
+    Returns the :class:`FamilyFrame` list in frame order.  Given ``each``,
+    the worker that builds a frame passes it to ``each`` and keeps only the
+    result, so the list holds ``each(frame)`` instead and at most one
+    surface per thread is alive at a time.
+    """
     validate_family(spec, grid)
     ts = spec.parameter_values()
 
     def build(item):
         idx, t = item
-        surface = integrate_representation(family_member(spec, t), grid)
-        return FamilyFrame(idx, float(t), surface)
+        frame = FamilyFrame(idx, float(t),
+                            integrate_representation(family_member(spec, t), grid))
+        return frame if each is None else each(frame)
 
     items = list(enumerate(ts))
     if threads > 1:

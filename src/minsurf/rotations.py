@@ -53,16 +53,17 @@ def skew(v):
 
 
 def _det3(m):
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
 
 
 def cross3(a, b):
-    """Cross product of two 3-vectors (np.cross is slow for single vectors)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """Cross product of two 3-vector arrays (np.cross is slow for single
+    vectors; Python floats keep the per-element arithmetic of numpy)."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _axial(w):
@@ -77,12 +78,12 @@ class RodriguesVector:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = _as_readonly(self.a)
         if a.shape != (3,):
             raise InvalidInputError(f"Rodrigues vector must be a 3-vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise PiTurnError("non-finite Rodrigues vector (pi-turns are unrepresentable)")
-        object.__setattr__(self, "a", _as_readonly(a))
+        object.__setattr__(self, "a", a)
 
     @property
     def norm2(self):
@@ -154,7 +155,7 @@ def matrix_from_rodrigues(a: RodriguesVector) -> RotationMatrix:
     """Rodrigues' formula R(a) = [(1-a^2) I + 2 a@a + 2 W(a)] / (1+a^2)."""
     v = a.a
     a2 = v @ v
-    m = 2.0 * np.outer(v, v)
+    m = 2.0 * (v[:, None] * v[None, :])
     m += 2.0 * skew(v)
     m += (1.0 - a2) * _EYE3
     m /= 1.0 + a2

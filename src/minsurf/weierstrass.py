@@ -13,6 +13,7 @@ angular coordinate supplied by the grid, cut at phi = +/-pi.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -24,6 +25,10 @@ from .errors import DomainError, InvalidInputError
 from .surfcalc import CurvatureData, FrameField, SurfacePatch
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# Grid lines per block of the quadrature edge pass: at 384 edges a line,
+# each (lines, edges, 16, 3) complex temporary of a block is about 2.4 MB.
+EDGE_BLOCK_ROWS = 8
 
 
 # -- domains -----------------------------------------------------------------
@@ -218,18 +223,53 @@ _EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "ln": np.log, "log": np.log,
     "exp": np.exp, "sqrt": np.sqrt, "pow": np.power, "abs": np.abs, "pi": np.pi,
 }
+_EXPR_VARS = {"u", "v", "rho", "phi", "pi"}
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+             ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_expression(node):
+    """Raise unless ``node`` is built from numbers, the variables, calls of
+    the listed functions with their exact arity, and arithmetic."""
+    if isinstance(node, ast.Expression):
+        return _check_expression(node.body)
+    if isinstance(node, ast.Constant):
+        if type(node.value) not in (int, float):
+            raise InvalidInputError(f"expression constant {node.value!r} is not a number")
+    elif isinstance(node, ast.Name):
+        if node.id not in _EXPR_VARS:
+            raise InvalidInputError(f"expression uses unknown name {node.id!r}")
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPS):
+        _check_expression(node.left)
+        _check_expression(node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPS):
+        _check_expression(node.operand)
+    elif isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None)  # only a Name node has an id
+        fn = _EXPR_FUNCS.get(name)
+        if not isinstance(fn, np.ufunc):
+            raise InvalidInputError("expression may only call "
+                                    + ", ".join(sorted(_EXPR_FUNCS.keys() - {"pi"})))
+        # a ufunc's extra positional argument is its output array
+        if node.keywords or len(node.args) != fn.nin:
+            raise InvalidInputError(f"{name}() takes {fn.nin} positional argument(s)")
+        for arg in node.args:
+            _check_expression(arg)
+    else:
+        raise InvalidInputError(
+            f"expression may not contain {type(node).__name__} nodes")
 
 
 def compile_expression(expr):
+    try:
+        _check_expression(ast.parse(expr, "<datum-expression>", "eval"))
+    except SyntaxError as exc:
+        raise InvalidInputError(f"expression {expr!r} is not valid: {exc.msg}") from exc
     code = compile(expr, "<datum-expression>", "eval")
-    allowed = set(_EXPR_FUNCS) | {"u", "v", "rho", "phi"}
-    bad = set(code.co_names) - allowed
-    if bad:
-        raise InvalidInputError(f"expression uses unknown names: {sorted(bad)}")
 
     def evaluate(u, v, rho, phi):
         ns = dict(_EXPR_FUNCS, u=u, v=v, rho=rho, phi=phi)
-        return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - closed namespace
+        return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked tree
 
     return evaluate
 
@@ -434,30 +474,37 @@ def _edge_integrals(datum, grid, axis):
     over every grid edge along the given axis.
 
     Returns (ns-1, nt, 3) complex for axis 0 and (ns, nt-1, 3) for axis 1.
+    The grid lines along ``axis`` are integrated ``EDGE_BLOCK_ROWS`` at a
+    time into one preallocated array, so the (lines, edges, 16, 3) complex
+    temporaries stay a few MB whatever the grid size; every value goes
+    through the same operations in the same order for any block size.
     """
     moving = grid.s if axis == 0 else grid.t
     fixed = grid.t if axis == 0 else grid.s
     a, b = moving[:-1], moving[1:]
     half = 0.5 * (b - a)
     sigma = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES  # (ne, 16)
-    sig = sigma[None, :, :] + 0.0 * fixed[:, None, None]            # (nf, ne, 16)
-    fix = fixed[:, None, None] + 0.0 * sigma[None, :, :]
+    out = np.empty((fixed.size, a.size, 3), dtype=complex)           # (nf, ne, 3)
+    for start in range(0, fixed.size, EDGE_BLOCK_ROWS):
+        rows = fixed[start:start + EDGE_BLOCK_ROWS]
+        sig = sigma[None, :, :] + 0.0 * rows[:, None, None]          # (nb, ne, 16)
+        fix = rows[:, None, None] + 0.0 * sigma[None, :, :]
+        if grid.kind == "polar":
+            rho, phi = (sig, fix) if axis == 0 else (fix, sig)
+            dw = np.exp(1j * phi) if axis == 0 else 1j * rho * np.exp(1j * phi)
+            u, v = rho * np.cos(phi), rho * np.sin(phi)
+        else:
+            u, v = (sig, fix) if axis == 0 else (fix, sig)
+            dw = np.full(u.shape, 1.0 if axis == 0 else 1.0j, dtype=complex)
+            rho, phi = np.hypot(u, v), np.arctan2(v, u)
 
-    if grid.kind == "polar":
-        rho, phi = (sig, fix) if axis == 0 else (fix, sig)
-        dw = np.exp(1j * phi) if axis == 0 else 1j * rho * np.exp(1j * phi)
-        u, v = rho * np.cos(phi), rho * np.sin(phi)
-    else:
-        u, v = (sig, fix) if axis == 0 else (fix, sig)
-        dw = np.full(u.shape, 1.0 if axis == 0 else 1.0j, dtype=complex)
-        rho, phi = np.hypot(u, v), np.arctan2(v, u)
-
-    w = u + 1j * v
-    f = datum.f_complex(u, v, rho, phi)
-    g = np.stack([0.5 * (1.0 - w * w) * f, 0.5j * (1.0 + w * w) * f, w * f],
-                 axis=-1)
-    weighted = np.einsum("q,feqk->fek", GAUSS_WEIGHTS, g * (dw * np.ones_like(w))[..., None])
-    out = weighted * half[None, :, None]
+        w = u + 1j * v
+        f = datum.f_complex(u, v, rho, phi)
+        g = np.stack([0.5 * (1.0 - w * w) * f, 0.5j * (1.0 + w * w) * f, w * f],
+                     axis=-1)
+        weighted = np.einsum("q,feqk->fek", GAUSS_WEIGHTS,
+                             g * (dw * np.ones_like(w))[..., None])
+        out[start:start + rows.size] = weighted * half[None, :, None]
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and mesh output."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ class TestGen:
         verts, _ = meshio.parse_obj(out)
         assert len(verts) == 144  # flag overrode the config grid
 
+    @pytest.mark.parametrize("command, config", [
+        ("gen", {"surface": "enneper", "grid": 64}),
+        ("animate", {"family": "bour-t", "frames": "three"}),
+        ("animate", {"family": "bour-t", "frames": 2.5}),
+        ("gen", {"surface": "enneper", "rmax": True}),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
+                                                 command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = ["--out", str(tmp_path / "x.obj")] if command == "gen" else [
+            "--outdir", str(tmp_path / "frames")]
+        assert main([command, "--config", str(cfg)] + out) == 2
+        assert capsys.readouterr().err.startswith("error: config key")
+
+    def test_config_values_parsed_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "bour-t", "frames": "3",
+                                   "grid": "8x8", "rmin": 0.2, "rmax": 1}))
+        outdir = tmp_path / "frames"
+        assert main(["animate", "--config", str(cfg),
+                     "--outdir", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert len(manifest["frames"]) == 3 and manifest["rmax"] == 1.0
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": "enneper", "whatever": 1}))
@@ -241,6 +267,26 @@ class TestAnimate:
                      "--outdir", str(outdir)]) == 0
         assert sorted(p.name for p in outdir.glob("*.obj")) == [
             "frame_0000.obj", "frame_0001.obj", "frame_0002.obj"]
+
+    def test_live_surfaces_bounded_by_threads(self, tmp_path, monkeypatch):
+        from minsurf import families
+
+        build = families.integrate_representation
+        live, peak = weakref.WeakSet(), []
+
+        def counted(*args, **kwargs):
+            surface = build(*args, **kwargs)
+            live.add(surface)
+            peak.append(len(live))
+            return surface
+
+        monkeypatch.setattr(families, "integrate_representation", counted)
+        monkeypatch.setenv("MINSURF_THREADS", "2")
+        assert main(["animate", "--family", "bour-t", "--frames", "12",
+                     "--grid", "24x24", "--rmin", "0.2",
+                     "--outdir", str(tmp_path / "frames")]) == 0
+        assert len(peak) == 12
+        assert max(peak) <= 2 + 1
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -150,6 +150,16 @@ class TestFamilyFrames:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.surface.r, b.surface.r)
 
+    def test_each_results_keep_frame_order(self):
+        spec = FamilySpec("bour-t", frames=5)
+        frames = family_frames(spec, GRID)
+        for threads in (1, 3):
+            out = family_frames(spec, GRID, threads=threads,
+                                each=lambda frame: (frame.index, frame.surface.r))
+            assert [index for index, _ in out] == list(range(5))
+            for (_, r), frame in zip(out, frames):
+                assert np.array_equal(r, frame.surface.r)
+
     def test_non_harmonic_general_pair_rejected(self):
         spec = FamilySpec("general", harmonic_pair=(
             lambda u, v, r, p: u**2,

@@ -1,9 +1,12 @@
 """Tests for the Weierstrass machinery: catalog data, closed forms,
 quadrature cross-checks, and the holomorphy validator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from minsurf import weierstrass
 from minsurf.errors import DomainError, InvalidInputError
 from minsurf.weierstrass import (
     DomainGrid,
@@ -259,6 +262,29 @@ class TestSpecParsing:
         with pytest.raises(InvalidInputError):
             parse_surface_spec("custom:__import__('os');0*u")
 
+    @pytest.mark.parametrize("expr", [
+        "(lambda: ().__class__.__name__)()",
+        "u.__class__",
+        "u[0]",
+        "[x for x in u][0]",
+        "sin(u, v)",
+        "exp(u, out=v)",
+        "sin",
+        "'text'",
+        "1j * u",
+        "u if v else rho",
+        "u +",
+    ])
+    def test_expression_outside_grammar_rejected(self, expr):
+        with pytest.raises(InvalidInputError):
+            parse_surface_spec(f"custom:{expr};0")
+
+    def test_expression_grammar_accepts_arithmetic_and_functions(self):
+        datum = parse_surface_spec(
+            "custom:-ln(rho) + 0.5*pow(u, 2) - pow(v, 2)/2 + abs(pi)%4;"
+            "-phi + u*v + +1")
+        assert validate_holomorphy(datum, GRID).ok()
+
 
 class TestRimScale:
     def test_positive_and_grows_with_domain(self):
@@ -281,3 +307,32 @@ class TestBourReflectionSymmetry:
         reflected = r_pos * np.array([1.0, -1.0, -1.0])
         shift = r_neg[0, 0] - reflected[0, 0]
         assert np.abs(r_neg - reflected - shift).max() < 1e-8
+
+
+class TestBlockedEdgePass:
+    """The quadrature edge pass gives the same bits for any block size."""
+
+    DATUM = custom("ln(rho)+u+0.1", "phi+v-0.3")
+
+    @pytest.mark.parametrize("grid", [
+        DomainGrid.polar(0.3, 1.4, 97, 61),
+        DomainGrid.cartesian(0.2, 1.3, -0.7, 0.6, 53, 88),
+    ], ids=["polar-97x61", "cartesian-53x88"])
+    @pytest.mark.parametrize("rows", [1, 200])
+    def test_bit_identical_to_default_block(self, grid, rows, monkeypatch):
+        default = integrate_representation(self.DATUM, grid)
+        monkeypatch.setattr(weierstrass, "EDGE_BLOCK_ROWS", rows)
+        blocked = integrate_representation(self.DATUM, grid)
+        assert np.array_equal(blocked.r, default.r)
+        assert blocked.path_residual == default.path_residual
+
+    def test_peak_memory_bounded(self):
+        grid = DomainGrid.polar(0.075, 1.5, 256, 256)
+        tracemalloc.start()
+        try:
+            integrate_representation(self.DATUM, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
