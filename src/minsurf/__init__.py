@@ -30,7 +30,6 @@ from .families import (
     FamilySpec,
     family_frames,
     family_member,
-    scherk_midpoint,
 )
 from .rotations import (
     AxisSplit,
@@ -64,6 +63,7 @@ from .weierstrass import (
     metric_vectors,
     normal,
     parse_surface_spec,
+    scherk_midpoint,
     validate_holomorphy,
 )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrabilityError, InvalidInputError
-from .rotations import rodrigues_from_matrices, split_about_e3_batched
+from .rotations import rodrigues_from_matrices, skew, split_about_e3_batched
 from .surfcalc import (
     CurvatureData,
     SurfacePatch,
@@ -42,15 +42,8 @@ def drilling_rotation(nu, alpha):
     """R_nu(alpha) = I + sin(alpha) W(nu) - (1 - cos(alpha)) P(nu), batched."""
     nu = np.asarray(nu, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    w = np.zeros(nu.shape[:-1] + (3, 3))
-    w[..., 0, 1] = -nu[..., 2]
-    w[..., 0, 2] = nu[..., 1]
-    w[..., 1, 0] = nu[..., 2]
-    w[..., 1, 2] = -nu[..., 0]
-    w[..., 2, 0] = -nu[..., 1]
-    w[..., 2, 1] = nu[..., 0]
     sa = alpha[..., None, None]
-    return (np.eye(3) + np.sin(sa) * w
+    return (np.eye(3) + np.sin(sa) * skew(nu)
             - (1.0 - np.cos(sa)) * projector(nu))
 
 
@@ -190,17 +183,19 @@ def compatibility_ratio(kappa1, kappa2, alpha, beta):
     """Prescribed stretch ratio mu2/mu1 for a bending-neutral deformation.
 
     ratio = 1 - (k1 + k2) sin(a) / (k2 sin(a) + (k1 - k2) cos(b) sin(a + b));
-    sin(alpha) = 0 trivially gives 1.
+    sin(alpha) = 0 trivially gives 1.  Inputs broadcast; scalar inputs give
+    a float.
     """
-    k1, k2 = float(kappa1), float(kappa2)
-    a, b = float(alpha), float(beta)
+    k1, k2, a, b = (np.asarray(x, dtype=float) for x in (kappa1, kappa2, alpha, beta))
     sa = np.sin(a)
-    if sa == 0.0:
-        return 1.0
+    trivial = sa == 0.0
     denom = k2 * sa + (k1 - k2) * np.cos(b) * np.sin(a + b)
-    if abs(denom) < 1e-14 * max(abs(k1), abs(k2), 1.0):
+    scale = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), 1.0)
+    if np.any(~trivial & (np.abs(denom) < 1e-14 * scale)):
         raise InvalidInputError("compatibility ratio undefined: vanishing denominator")
-    return float(1.0 - (k1 + k2) * sa / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(trivial, 1.0, 1.0 - (k1 + k2) * sa / denom)
+    return ratio if ratio.ndim else float(ratio)
 
 
 @dataclass(frozen=True)
@@ -267,18 +262,14 @@ def compatibility_report(kappa1, kappa2, lam, alpha, n1=None, n2=None, nu=None):
     if n1 is None:
         n1, n2, nu = _default_frame(shape)
     ratio_lhs = np.broadcast_to(-kappa2 / kappa1, shape)
-    it = np.nditer([np.broadcast_to(kappa1, shape), np.broadcast_to(kappa2, shape),
-                    np.broadcast_to(alpha, shape), None])
-    for k1v, k2v, av, out in it:
-        out[...] = compatibility_ratio(k1v, k2v, av, 0.0)
-    ratio_rhs = it.operands[3]
+    ratio_rhs = np.broadcast_to(compatibility_ratio(kappa1, kappa2, alpha, 0.0), shape)
     tensor = _image_curvature_tensor(np.broadcast_to(kappa1, shape),
                                      np.broadcast_to(kappa2, shape),
                                      np.broadcast_to(lam, shape),
                                      np.broadcast_to(alpha, shape), n1, n2, nu)
-    skew = tensor - np.swapaxes(tensor, -1, -2)
+    antisym = tensor - np.swapaxes(tensor, -1, -2)
     return CompatibilityReport(np.asarray(ratio_lhs), np.asarray(ratio_rhs),
-                               float(np.abs(skew).max()))
+                               float(np.abs(antisym).max()))
 
 
 # -- bending and drilling content --------------------------------------------------
@@ -331,6 +322,15 @@ def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
     return BendingContent(b_cf, d_field, valid, valid_d, res_b, res_d)
 
 
+def _normal_gram(nu_u, nu_v):
+    """(grad nu)^T (grad nu) from the domain partials of the normal field."""
+    a = np.zeros(nu_u.shape[:-1] + (3, 3))
+    a[..., 0, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_u)
+    a[..., 0, 1] = a[..., 1, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_v)
+    a[..., 1, 1] = np.einsum("ijk,ijk->ij", nu_v, nu_v)
+    return a
+
+
 def pure_bending_measure(s: WeierstrassSurface):
     """Pure bending tensor (grad nu)^T (grad nu) over the reference domain.
 
@@ -338,11 +338,7 @@ def pure_bending_measure(s: WeierstrassSurface):
     4 / (rho^2 + 1)^2 P(e3) for every datum.
     """
     nu_u, nu_v = s.normal_partials
-    a = np.zeros(s.grid.shape + (3, 3))
-    a[..., 0, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_u)
-    a[..., 0, 1] = a[..., 1, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_v)
-    a[..., 1, 1] = np.einsum("ijk,ijk->ij", nu_v, nu_v)
-    return a
+    return _normal_gram(nu_u, nu_v)
 
 
 def pure_bending_measure_fd(s: WeierstrassSurface, fd_order=2):
@@ -360,11 +356,7 @@ def pure_bending_measure_fd(s: WeierstrassSurface, fd_order=2):
     nu_s = _fd.d1(nu, patch.hs, axis=0, order=fd_order)
     nu_t = _fd.d1(nu, patch.ht, axis=1, order=fd_order)
     nu_u, nu_v = s.grid.uv_derivatives(nu_s, nu_t)
-    a = np.zeros(s.grid.shape + (3, 3))
-    a[..., 0, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_u)
-    a[..., 0, 1] = a[..., 1, 0] = np.einsum("ijk,ijk->ij", nu_u, nu_v)
-    a[..., 1, 1] = np.einsum("ijk,ijk->ij", nu_v, nu_v)
-    return a
+    return _normal_gram(nu_u, nu_v)
 
 
 def normal_fd_residual(s: WeierstrassSurface, fd_order=2):

@@ -83,18 +83,6 @@ def family_member(spec: FamilySpec, t) -> HolomorphicDatum:
     )
 
 
-def scherk_midpoint(theta) -> HolomorphicDatum:
-    """Intermediate catenoid-helicoid associate; theta strictly in (0, pi/2)."""
-    theta = float(theta)
-    if not 0.0 < theta < np.pi / 2:
-        raise InvalidInputError(
-            "theta at an endpoint degenerates to a catenoid or helicoid, "
-            "not the intermediate surface")
-    member = catenoid_helicoid(theta)
-    return HolomorphicDatum(f"scherk2:theta={theta:g}", member.phi_fn,
-                            member.chi_fn, power=member.power)
-
-
 @dataclass(frozen=True)
 class FamilyFrame:
     index: int

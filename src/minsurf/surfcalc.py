@@ -198,10 +198,6 @@ def surface_laplacian(patch: SurfacePatch, phi):
     return surface_divergence(patch, surface_gradient(patch, phi))
 
 
-def second_surface_gradient(patch: SurfacePatch, phi):
-    return surface_vector_gradient(patch, surface_gradient(patch, phi))
-
-
 def surface_curl(patch: SurfacePatch, h):
     """Axial vector of grad_s h - (grad_s h)^T (works for non-tangential h)."""
     g = surface_vector_gradient(patch, h)

@@ -44,14 +44,13 @@ from .bendneutral import (
     pure_bending_measure,
     pure_bending_measure_fd,
 )
-from .families import FamilySpec, family_frames, scherk_midpoint
+from .families import FamilySpec, family_frames
 from .rotations import (
     RodriguesVector,
     axis_distance_profile,
-    compose,
-    cross3,
-    matrix_from_rodrigues,
-    split_about_axis,
+    compose_batched,
+    matrices_from_rodrigues,
+    split_about_axes,
 )
 from .surfcalc import (
     circulation_check,
@@ -67,6 +66,7 @@ from .weierstrass import (
     enneper,
     helicoid,
     integrate_representation,
+    scherk_midpoint,
 )
 
 COARSE = 129
@@ -128,6 +128,12 @@ class _Sub:
                             "passed": bool(ok), "mode": mode}
         return ok
 
+    def flag(self, name, ok):
+        """Boolean sub-check: passes when ``ok`` is true."""
+        ok = bool(ok)
+        self.items[name] = {"value": ok, "tolerance": True, "passed": ok}
+        return ok
+
     def result(self, check_id, subject, grid, primary, tolerance):
         return CheckResult(
             check_id, subject, grid, float(primary), float(tolerance),
@@ -162,27 +168,25 @@ def check_rotation_split(cache):
     # CPU time of this process, so the verdict does not depend on how many
     # other processes share the machine
     start = time.process_time()
-    worst_frob = worst_dot = worst_cross = 0.0
     axes = rng.normal(size=(1000, 10, 3))
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     alphas = rng.uniform(-3.0, 3.0, size=1000)
-    for axis_block, alpha in zip(axes, alphas):
-        a = RodriguesVector(np.tan(alpha / 2.0) * axis_block[0])
-        target = matrix_from_rodrigues(a).m
-        for e in axis_block:
-            split = split_about_axis(a, e)
-            worst_dot = max(worst_dot, abs(split.a2.a @ e))
-            cr = cross3(split.a1.a, e)
-            worst_cross = max(worst_cross, np.sqrt(cr @ cr))
-            # recomposition through the composition law, checked in matrices
-            diff = matrix_from_rodrigues(compose(split.a2, split.a1)).m - target
-            worst_frob = max(worst_frob, np.sqrt((diff * diff).sum()))
+    # each rotation is split about ten axes, the first of them its own
+    a = np.tan(alphas / 2.0)[:, np.newaxis] * axes[:, 0]
+    u, a2 = split_about_axes(a[:, np.newaxis], axes)
+    a1 = u[..., np.newaxis] * axes
+    worst_dot = np.abs(np.einsum("...i,...i->...", a2, axes)).max()
+    worst_cross = np.linalg.norm(np.cross(a1, axes), axis=-1).max()
+    # recomposition through the composition law, checked in matrices
+    recomposed, _ = compose_batched(a2, a1)
+    m = matrices_from_rodrigues(np.concatenate([recomposed, a[:, np.newaxis]], axis=1))
+    diff = m[:, :-1] - m[:, -1:]
+    worst_frob = np.sqrt(np.einsum("...ij,...ij->...", diff, diff)).max()
     elapsed = time.process_time() - start
     sub.add("recomposition_frobenius", worst_frob, 1e-10)
     sub.add("a2_dot_axis", worst_dot, 1e-12)
     sub.add("a1_cross_axis", worst_cross, 1e-12)
-    sub.items["runtime_within_1s"] = {"value": bool(elapsed < 1.0),
-                                      "tolerance": True, "passed": elapsed < 1.0}
+    sub.flag("runtime_within_1s", elapsed < 1.0)
     return sub.result("01-rotation-split", "1000 rotations x 10 axes", "-",
                       worst_frob, 1e-10)
 
@@ -212,8 +216,7 @@ def check_axis_distance(cache):
     elapsed = time.perf_counter() - start
     sub.add("argmin_matches_a_dot_e", worst_min, du * 1.000001)
     sub.add("argmax_matches_minus_inv", worst_max, du * 1.000001)
-    sub.items["runtime_within_5s"] = {"value": bool(elapsed < 5.0),
-                                      "tolerance": True, "passed": elapsed < 5.0}
+    sub.flag("runtime_within_5s", elapsed < 5.0)
     return sub.result("02-axis-distance-extrema", "100 random (a, e)",
                       "20000-point grid", worst_min, du)
 
@@ -345,10 +348,7 @@ def check_bending_neutral_association(cache):
                     mode="band")
             sa = cache.surface(label_a, datum_a, "main", FINE)
             sb = cache.surface(label_b, datum_b, "main", FINE)
-            sub.items[f"normals_exact[{pair}]"] = {
-                "value": bool(np.array_equal(sa.nu, sb.nu)),
-                "tolerance": True,
-                "passed": bool(np.array_equal(sa.nu, sb.nu))}
+            sub.flag(f"normals_exact[{pair}]", np.array_equal(sa.nu, sb.nu))
 
     # spot identities for the classically known pairs
     s_cat = cache.surface("catenoid", catenoid(), "main", FINE)
@@ -423,8 +423,8 @@ def check_image_minimality(cache):
     res = image_mean_curvature_check(k1, k2, lam, alpha)
     sub = _Sub()
     sub.add("trace_residual_randomized", res.max(), 1e-12)
-    worst_ratio = max(abs(compatibility_ratio(a, b, c, 0.0) - (-b / a))
-                      for a, b, c in zip(k1[:200], k2[:200], alpha[:200]))
+    k1, k2, alpha = k1[:200], k2[:200], alpha[:200]
+    worst_ratio = np.abs(compatibility_ratio(k1, k2, alpha, 0.0) - (-k2 / k1)).max()
     sub.add("reduced_ratio_matches", worst_ratio, 1e-12)
     return sub.result("09-image-minimality", "1000 randomized (k1, k2, lam, alpha)",
                       "-", res.max(), 1e-12)
@@ -480,14 +480,11 @@ def check_determinism_io(cache):
             bytes1 = fh.read()
         with open(p2, "rb") as fh:
             bytes2 = fh.read()
-        sub.items["obj_rewrite_identical"] = {
-            "value": bytes1 == bytes2, "tolerance": True,
-            "passed": bytes1 == bytes2}
+        sub.flag("obj_rewrite_identical", bytes1 == bytes2)
         verts, faces = meshio.parse_obj(p1)
         round_trip = (np.array_equal(verts, mesh.vertices)
                       and np.array_equal(faces, mesh.faces))
-        sub.items["obj_round_trip_exact"] = {
-            "value": bool(round_trip), "tolerance": True, "passed": bool(round_trip)}
+        sub.flag("obj_round_trip_exact", round_trip)
         sub.add("face_winding_aligned_with_normal",
                 meshio.face_normal_alignment(mesh), 0.0, mode="above")
 
@@ -504,8 +501,7 @@ def check_determinism_io(cache):
                 outputs.append((ok, fh.read()))
         gen_ok = (all(ok for ok, _ in outputs)
                   and len({data for _, data in outputs}) == 1)
-        sub.items["gen_bit_identical_across_threads"] = {
-            "value": bool(gen_ok), "tolerance": True, "passed": bool(gen_ok)}
+        sub.flag("gen_bit_identical_across_threads", gen_ok)
 
         reports = []
         for threads in ("1", "8"):
@@ -520,8 +516,7 @@ def check_determinism_io(cache):
                 reports.append((ok, fh.read()))
         verify_ok = (all(ok for ok, _ in reports)
                      and len({data for _, data in reports}) == 1)
-        sub.items["verify_bit_identical_across_threads"] = {
-            "value": bool(verify_ok), "tolerance": True, "passed": bool(verify_ok)}
+        sub.flag("verify_bit_identical_across_threads", verify_ok)
     return sub.result("12-determinism-io", "gen/verify subprocess + obj round trip",
                       "-", 0.0, 0.0)
 

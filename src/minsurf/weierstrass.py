@@ -14,7 +14,7 @@ angular coordinate supplied by the grid, cut at phi = +/-pi.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -204,6 +204,17 @@ def catenoid_helicoid(theta, c=1.0):
                       f"catenoid-helicoid:theta={float(theta):g}")
 
 
+def scherk_midpoint(theta, c=1.0):
+    """Intermediate catenoid-helicoid associate ``scherk2``; theta strictly
+    in (0, pi/2)."""
+    theta = float(theta)
+    if not 0.0 < theta < np.pi / 2:
+        raise InvalidInputError(
+            "theta at an endpoint degenerates to a catenoid or helicoid, "
+            "not the intermediate surface")
+    return replace(catenoid_helicoid(theta, c), label=f"scherk2:theta={theta:g}")
+
+
 def bonnet_transform(base: HolomorphicDatum, theta):
     """F -> e^{i theta} F: same Phi, chi shifted by the constant theta."""
     theta = float(theta)
@@ -295,12 +306,7 @@ def parse_surface_spec(spec):
     if head == "bour":
         return bour(_parse_kv(rest, {"m": 3.0})["m"])
     if head == "scherk2":
-        kv = _parse_kv(rest, {"theta": np.pi / 4, "c": 1.0})
-        if not 0.0 < kv["theta"] < np.pi / 2:
-            raise InvalidInputError("scherk2 needs theta strictly inside (0, pi/2)")
-        member = catenoid_helicoid(kv["theta"], kv["c"])
-        return HolomorphicDatum(f"scherk2:theta={kv['theta']:g}", member.phi_fn,
-                                member.chi_fn, power=member.power)
+        return scherk_midpoint(**_parse_kv(rest, {"theta": np.pi / 4, "c": 1.0}))
     if head == "bonnet":
         kv_str, _, base_str = rest.partition(":")
         kv = _parse_kv(kv_str, {"theta": np.pi / 2})

@@ -230,6 +230,23 @@ class TestCompatibility:
         with pytest.raises(InvalidInputError):
             compatibility_ratio(1.0, -1.0, np.pi, np.pi / 2)
 
+    def test_array_form_matches_scalar(self):
+        rng = np.random.default_rng(5)
+        k1 = rng.uniform(0.2, 5.0, 60)
+        k2 = -rng.uniform(0.2, 5.0, 60)
+        alpha = rng.uniform(-np.pi, np.pi, 60)
+        alpha[::10] = 0.0
+        beta = rng.uniform(-1.0, 1.0, 60)
+        out = compatibility_ratio(k1, k2, alpha, beta)
+        assert out.shape == (60,)
+        assert (out[::10] == 1.0).all()
+        for k in range(60):
+            assert out[k] == compatibility_ratio(k1[k], k2[k], alpha[k], beta[k])
+
+    def test_array_vanishing_denominator(self):
+        with pytest.raises(InvalidInputError):
+            compatibility_ratio([1.0, 2.0], [-1.0, -0.5], [np.pi, 0.3], np.pi / 2)
+
     def test_report_consistency(self):
         rng = np.random.default_rng(3)
         k1 = rng.uniform(0.5, 3.0, 50)

@@ -10,7 +10,6 @@ from minsurf.families import (
     FamilySpec,
     family_frames,
     family_member,
-    scherk_midpoint,
     validate_family,
 )
 from minsurf.weierstrass import (
@@ -18,6 +17,7 @@ from minsurf.weierstrass import (
     catenoid,
     enneper,
     integrate_representation,
+    scherk_midpoint,
 )
 
 GRID = DomainGrid.polar(0.5, 1.5, 49, 49)

@@ -15,10 +15,16 @@ from minsurf.rotations import (
     RotationMatrix,
     axis_distance_profile,
     compose,
+    compose_batched,
+    matrices_from_rodrigues,
     matrix_from_rodrigues,
+    rodrigues_from_matrices,
     rodrigues_from_matrix,
     rotation_from_axis_angle,
+    skew,
+    split_about_axes,
     split_about_axis,
+    split_about_e3_batched,
 )
 
 RNG = np.random.default_rng(20240615)
@@ -243,3 +249,102 @@ class TestDistanceProfile:
     def test_nonfinite_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             axis_distance_profile(RodriguesVector(E3.copy()), E3, [np.nan])
+
+
+def random_rodrigues_field(rng, shape, max_angle=3.0):
+    axes = rng.normal(size=shape + (3,))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    alpha = rng.uniform(-max_angle, max_angle, size=shape)
+    return np.tan(alpha / 2.0)[..., np.newaxis] * axes
+
+
+def e3_closed_form(a):
+    """The e3 split written out in components: u = a_z,
+    a2 = (a_x - u a_y, a_y + u a_x, 0) / (1 + u^2)."""
+    u = a[..., 2]
+    px, py = a[..., 0], a[..., 1]
+    denom = 1.0 + u * u
+    return u, np.stack([(px - u * py) / denom, (py + u * px) / denom,
+                        np.zeros_like(u)], axis=-1)
+
+
+class TestBatchedKernels:
+    """Each batched kernel against the scalar API built on it."""
+
+    def test_skew_is_cross_product(self):
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(4, 5, 3))
+        x = rng.normal(size=(4, 5, 3))
+        w = skew(v)
+        assert w.shape == (4, 5, 3, 3)
+        np.testing.assert_allclose((w @ x[..., np.newaxis])[..., 0], np.cross(v, x),
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(w, -np.swapaxes(w, -1, -2))
+        np.testing.assert_array_equal(skew(v[1, 2]), w[1, 2])
+
+    def test_matrices_match_scalar(self):
+        a = random_rodrigues_field(np.random.default_rng(37), (6, 7))
+        m = matrices_from_rodrigues(a)
+        for idx in np.ndindex(a.shape[:-1]):
+            np.testing.assert_array_equal(
+                m[idx], matrix_from_rodrigues(RodriguesVector(a[idx])).m)
+
+    def test_vectors_match_scalar_with_pi_turn_mask(self):
+        a = random_rodrigues_field(np.random.default_rng(41), (50,))
+        r = matrices_from_rodrigues(a)
+        r[7] = np.diag([1.0, -1.0, -1.0])
+        r[30] = rotation_from_axis_angle(E2, np.pi).m
+        out, pi_mask = rodrigues_from_matrices(r)
+        np.testing.assert_array_equal(np.flatnonzero(pi_mask), [7, 30])
+        assert np.isnan(out[pi_mask]).all()
+        for k in range(len(r)):
+            if pi_mask[k]:
+                with pytest.raises(PiTurnError):
+                    rodrigues_from_matrix(RotationMatrix(r[k]))
+            else:
+                np.testing.assert_array_equal(
+                    out[k], rodrigues_from_matrix(RotationMatrix(r[k])).a)
+
+    def test_compose_matches_scalar_with_pi_turn_mask(self):
+        rng = np.random.default_rng(43)
+        a1 = random_rodrigues_field(rng, (40,))
+        a2 = random_rodrigues_field(rng, (40,))
+        a1[5], a2[5] = [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]  # a1.a2 = 1 exactly
+        out, pi_mask = compose_batched(a2, a1)
+        np.testing.assert_array_equal(np.flatnonzero(pi_mask), [5])
+        assert np.isnan(out[5]).all()
+        for k in range(len(a1)):
+            if pi_mask[k]:
+                with pytest.raises(PiTurnError):
+                    compose(RodriguesVector(a2[k]), RodriguesVector(a1[k]))
+            else:
+                np.testing.assert_array_equal(
+                    out[k], compose(RodriguesVector(a2[k]), RodriguesVector(a1[k])).a)
+
+    def test_split_broadcasts_over_axis_batch(self):
+        rng = np.random.default_rng(47)
+        a = random_rodrigues_field(rng, (1000,))
+        axes = rng.normal(size=(1000, 10, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        u, a2 = split_about_axes(a[:, np.newaxis], axes)
+        assert u.shape == (1000, 10) and a2.shape == (1000, 10, 3)
+        assert np.abs(np.einsum("...i,...i->...", a2, axes)).max() < 1e-12
+        for i, j in zip(rng.integers(0, 1000, 50), rng.integers(0, 10, 50)):
+            split = split_about_axis(RodriguesVector(a[i]), axes[i, j])
+            np.testing.assert_array_equal(split.a1.a, u[i, j] * axes[i, j])
+            np.testing.assert_array_equal(split.a2.a, a2[i, j])
+
+    def test_e3_view_matches_closed_form_bitwise(self):
+        rng = np.random.default_rng(53)
+        a = 3.0 * rng.normal(size=(40, 30, 3))
+        a[::7, ::5] = np.nan  # pi-turn rows, as rodrigues_from_matrices marks them
+        finite = ~np.isnan(a).any(axis=-1)
+        u, a2 = split_about_e3_batched(a)
+        u_ref, a2_ref = e3_closed_form(a)
+        assert u[finite].tobytes() == u_ref[finite].tobytes()
+        assert a2[finite].tobytes() == a2_ref[finite].tobytes()
+        # a pi-turn has no split: its rows are nan, as in the closed form,
+        # down to the e3 entry the closed form sets to 0
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(a2[..., :2], a2_ref[..., :2])
+        assert np.isnan(a2[~finite]).all()

@@ -16,7 +16,6 @@ from minsurf.surfcalc import (
     integrate_tangential_field,
     path_independence_residual,
     rectangle_loop,
-    second_surface_gradient,
     shape_operator,
     surface_curl,
     surface_gradient,
@@ -275,7 +274,7 @@ class TestSurfaceCurl:
             patch = sphere_patch(n=n)
             phi = patch.r[..., 0]
             g = surface_gradient(patch, phi)
-            hess = second_surface_gradient(patch, phi)
+            hess = surface_vector_gradient(patch, g)
             curv = shape_operator(patch)
             sg = np.einsum("ijkl,ijl->ijk", curv.shape_operator, g)
             rhs = sg[..., :, None] * patch.nu[..., None, :]
