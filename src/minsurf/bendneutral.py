@@ -209,6 +209,13 @@ class CompatibilityReport:
 
 
 def _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu):
+    """Image curvature tensor of the reduced case over the broadcast shape of
+    the inputs, in the fixed frame (e1, e2, e3) unless a frame is given."""
+    args = [np.asarray(x, dtype=float) for x in (kappa1, kappa2, lam, alpha)]
+    shape = np.broadcast_shapes(*(x.shape for x in args))
+    if n1 is None:
+        n1, n2, nu = (np.broadcast_to(e, shape + (3,)) for e in np.eye(3))
+    kappa1, kappa2, lam, alpha = (np.broadcast_to(x, shape) for x in args)
     mu1 = lam * kappa1
     mu2 = -lam * kappa2
     r = drilling_rotation(nu, alpha)
@@ -216,13 +223,6 @@ def _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu):
     rn2 = np.einsum("...kl,...l->...k", r, n2)
     return ((kappa1 / mu1)[..., None, None] * n1[..., :, None] * rn1[..., None, :]
             + (kappa2 / mu2)[..., None, None] * n2[..., :, None] * rn2[..., None, :])
-
-
-def _default_frame(shape):
-    n1 = np.broadcast_to(np.array([1.0, 0.0, 0.0]), shape + (3,))
-    n2 = np.broadcast_to(np.array([0.0, 1.0, 0.0]), shape + (3,))
-    nu = np.broadcast_to(np.array([0.0, 0.0, 1.0]), shape + (3,))
-    return n1, n2, nu
 
 
 def image_mean_curvature_check(kappa1, kappa2, lam, alpha,
@@ -236,18 +236,11 @@ def image_mean_curvature_check(kappa1, kappa2, lam, alpha,
     kappa1 = np.asarray(kappa1, dtype=float)
     kappa2 = np.asarray(kappa2, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     if np.any(kappa1 <= 0.0) or np.any(kappa2 >= 0.0):
         raise InvalidInputError("reduced case requires kappa1 > 0 > kappa2")
     if np.any(lam <= 0.0):
         raise InvalidInputError("lambda must be positive")
-    shape = np.broadcast_shapes(kappa1.shape, kappa2.shape, lam.shape, alpha.shape)
-    if n1 is None:
-        n1, n2, nu = _default_frame(shape)
-    tensor = _image_curvature_tensor(np.broadcast_to(kappa1, shape),
-                                     np.broadcast_to(kappa2, shape),
-                                     np.broadcast_to(lam, shape),
-                                     np.broadcast_to(alpha, shape), n1, n2, nu)
+    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu)
     return np.abs(np.trace(tensor, axis1=-2, axis2=-1))
 
 
@@ -256,19 +249,12 @@ def compatibility_report(kappa1, kappa2, lam, alpha, n1=None, n2=None, nu=None):
     plus the symmetry defect of the image curvature tensor."""
     kappa1 = np.asarray(kappa1, dtype=float)
     kappa2 = np.asarray(kappa2, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    shape = np.broadcast_shapes(kappa1.shape, kappa2.shape, lam.shape, alpha.shape)
-    if n1 is None:
-        n1, n2, nu = _default_frame(shape)
-    ratio_lhs = np.broadcast_to(-kappa2 / kappa1, shape)
-    ratio_rhs = np.broadcast_to(compatibility_ratio(kappa1, kappa2, alpha, 0.0), shape)
-    tensor = _image_curvature_tensor(np.broadcast_to(kappa1, shape),
-                                     np.broadcast_to(kappa2, shape),
-                                     np.broadcast_to(lam, shape),
-                                     np.broadcast_to(alpha, shape), n1, n2, nu)
+    ratio_rhs = compatibility_ratio(kappa1, kappa2, alpha, 0.0)
+    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu)
+    shape = tensor.shape[:-2]
     antisym = tensor - np.swapaxes(tensor, -1, -2)
-    return CompatibilityReport(np.asarray(ratio_lhs), np.asarray(ratio_rhs),
+    return CompatibilityReport(np.broadcast_to(-kappa2 / kappa1, shape),
+                               np.broadcast_to(ratio_rhs, shape),
                                float(np.abs(antisym).max()))
 
 
@@ -349,13 +335,8 @@ def pure_bending_measure_fd(s: WeierstrassSurface, fd_order=2):
     field.  Statistics should exclude a boundary collar of 2 samples per
     derivative layer (4 at order 2, 5 at order 4), where stencils degrade.
     """
-    from . import fd as _fd
-
     patch = s.patch(fd_order=fd_order)
-    nu = patch.nu
-    nu_s = _fd.d1(nu, patch.hs, axis=0, order=fd_order)
-    nu_t = _fd.d1(nu, patch.ht, axis=1, order=fd_order)
-    nu_u, nu_v = s.grid.uv_derivatives(nu_s, nu_t)
+    nu_u, nu_v = s.grid.uv_derivatives(*patch._nu_derivs)
     return _normal_gram(nu_u, nu_v)
 
 

@@ -324,52 +324,43 @@ def circulation_check(patch: SurfacePatch, h, loop):
     return abs(line - area)
 
 
-# -- potential reconstruction -------------------------------------------------
+# -- path integration ---------------------------------------------------------
+
+
+def _line_sums(steps, k0, axis):
+    """Sums of the ``steps`` along ``axis`` from node ``k0``, exactly 0 there."""
+    steps = np.moveaxis(steps, axis, 0)
+    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:], dtype=steps.dtype)
+    out[k0 + 1:] = np.cumsum(steps[k0:], axis=0)
+    out[:k0] = -np.cumsum(steps[:k0][::-1], axis=0)[::-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def path_integrate(edges_s, edges_t, base, column_first=False):
+    """Sum per-edge increments along grid lines from the ``base`` node.
+
+    ``edges_s`` (ns-1, nt, ...) holds the increments from node (i, j) to
+    (i+1, j) and ``edges_t`` (ns, nt-1, ...) those from (i, j) to (i, j+1);
+    the trailing shape and dtype are free.  Paths follow the base row and
+    then the columns (the base column and then the rows when
+    ``column_first``).  The result is exactly 0 at ``base``.
+    """
+    i0, j0 = base
+    if column_first:
+        return _line_sums(edges_t, j0, 1) + _line_sums(edges_s[:, j0], i0, 0)[:, None]
+    return _line_sums(edges_s, i0, 0) + _line_sums(edges_t[i0], j0, 0)[None]
 
 
 def integrate_tangential_field(patch: SurfacePatch, h, base=(0, 0), value0=0.0,
                                column_first=False):
     """Path-integrate a tangential field into a potential on the grid.
 
-    Paths run from ``base`` along its grid row and then along columns
-    (or column-then-row when ``column_first``); trapezoidal edge rule.
-    For curl-free fields the result is path independent up to O(h^2).
+    Each edge adds the trapezoid increment 1/2 (h_a + h_b) . (r_b - r_a);
+    the paths are those of :func:`path_integrate`.  For curl-free fields
+    the result is path independent up to O(h^2).
     """
     h = np.asarray(h, dtype=float)
-    i0, j0 = base
     r = patch.r
-
-    def cumline(vals, pos, axis):
-        contrib = np.einsum("...k,...k->...",
-                            0.5 * (np.take(vals, np.arange(1, vals.shape[axis]), axis=axis)
-                                   + np.take(vals, np.arange(0, vals.shape[axis] - 1), axis=axis)),
-                            np.diff(pos, axis=axis))
-        return contrib
-
-    out = np.zeros(patch.shape)
-    if column_first:
-        col = cumline(h[:, j0:j0 + 1], r[:, j0:j0 + 1], 0)[:, 0]
-        along_s = np.zeros(patch.shape[0])
-        along_s[i0 + 1:] = np.cumsum(col[i0:])
-        along_s[:i0] = -np.cumsum(col[:i0][::-1])[::-1]
-        rows = cumline(h, r, 1)
-        out[:, j0 + 1:] = np.cumsum(rows[:, j0:], axis=1)
-        out[:, :j0] = -np.cumsum(rows[:, :j0][:, ::-1], axis=1)[:, ::-1]
-        out += along_s[:, None]
-    else:
-        row = cumline(h[i0:i0 + 1, :], r[i0:i0 + 1, :], 1)[0]
-        along_t = np.zeros(patch.shape[1])
-        along_t[j0 + 1:] = np.cumsum(row[j0:])
-        along_t[:j0] = -np.cumsum(row[:j0][::-1])[::-1]
-        cols = cumline(h, r, 0)
-        out[i0 + 1:, :] = np.cumsum(cols[i0:, :], axis=0)
-        out[:i0, :] = -np.cumsum(cols[:i0, :][::-1, :], axis=0)[::-1, :]
-        out += along_t[None, :]
-    return out + value0
-
-
-def path_independence_residual(patch: SurfacePatch, h, base=(0, 0)):
-    """Max difference between row-first and column-first reconstructions."""
-    a = integrate_tangential_field(patch, h, base=base)
-    b = integrate_tangential_field(patch, h, base=base, column_first=True)
-    return float(np.abs(a - b).max())
+    steps_s = np.einsum("ijk,ijk->ij", 0.5 * (h[1:] + h[:-1]), np.diff(r, axis=0))
+    steps_t = np.einsum("ijk,ijk->ij", 0.5 * (h[:, 1:] + h[:, :-1]), np.diff(r, axis=1))
+    return path_integrate(steps_s, steps_t, base, column_first) + value0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fd
 from .errors import DomainError, InvalidInputError
-from .surfcalc import CurvatureData, FrameField, SurfacePatch
+from .surfcalc import CurvatureData, FrameField, SurfacePatch, path_integrate
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -514,32 +514,6 @@ def _edge_integrals(datum, grid, axis):
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 
-def _quadrature_position(edges_s, edges_t, anchor, column_first=False):
-    """Cumulative path integrals from the anchor node along grid lines,
-    given the edge integrals of both axes (:func:`_edge_integrals`)."""
-    i0, j0 = anchor
-    ns, nt = edges_t.shape[0], edges_s.shape[1]
-    out = np.zeros((ns, nt, 3), dtype=complex)
-
-    if column_first:
-        col = edges_s[:, j0, :]
-        along = np.zeros((ns, 3), dtype=complex)
-        along[i0 + 1:] = np.cumsum(col[i0:], axis=0)
-        along[:i0] = -np.cumsum(col[:i0][::-1], axis=0)[::-1]
-        out[:, j0 + 1:, :] = np.cumsum(edges_t[:, j0:, :], axis=1)
-        out[:, :j0, :] = -np.cumsum(edges_t[:, :j0, :][:, ::-1, :], axis=1)[:, ::-1, :]
-        out += along[:, None, :]
-    else:
-        row = edges_t[i0, :, :]
-        along = np.zeros((nt, 3), dtype=complex)
-        along[j0 + 1:] = np.cumsum(row[j0:], axis=0)
-        along[:j0] = -np.cumsum(row[:j0][::-1], axis=0)[::-1]
-        out[i0 + 1:, :, :] = np.cumsum(edges_s[i0:, :, :], axis=0)
-        out[:i0, :, :] = -np.cumsum(edges_s[:i0, :, :][::-1, :, :], axis=0)[::-1, :, :]
-        out += along[None, :, :]
-    return out.real
-
-
 def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
                              method="auto"):
     """Build the immersion on the grid; returns a :class:`WeierstrassSurface`.
@@ -570,15 +544,14 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
     if use_catalog:
         _, _, rho, phi = grid.coords
         r = _catalog_position(datum.power, rho, phi)
+        r = r - r[grid.anchor]
     else:
         edges_s = _edge_integrals(datum, grid, axis=0)
         edges_t = _edge_integrals(datum, grid, axis=1)
-        r = _quadrature_position(edges_s, edges_t, grid.anchor)
-        alt = _quadrature_position(edges_s, edges_t, grid.anchor,
-                                   column_first=True)
+        r = path_integrate(edges_s, edges_t, grid.anchor).real
+        alt = path_integrate(edges_s, edges_t, grid.anchor,
+                             column_first=True).real
         path_residual = float(np.abs(r - alt).max())
-    i0, j0 = grid.anchor
-    r = r - r[i0, j0]
     if not np.all(np.isfinite(r)):
         raise DomainError(f"immersion for {datum.label} is singular on the domain")
     return WeierstrassSurface(datum, grid, r, path_residual=path_residual)
