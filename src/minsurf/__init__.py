@@ -6,6 +6,7 @@ from .bendneutral import (
     CompatibilityReport,
     DeformationField,
     alpha_from_phi,
+    bending_cross_check,
     bending_drilling_field,
     chain_rule_residual,
     compatibility_ratio,

@@ -63,7 +63,6 @@ class DeformationField:
     grad: np.ndarray
     nu: np.ndarray
     R_nu: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)
 
 
 def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> DeformationField:
@@ -80,9 +79,8 @@ def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> De
     alpha = s_star.chi - s.chi
     nu = s.nu
     r_nu = drilling_rotation(nu, alpha)
-    p = projector(nu)
-    grad = mu[..., None, None] * (r_nu @ p)
-    return DeformationField(mu, alpha, grad, nu, r_nu, mu[..., None, None] * p)
+    grad = mu[..., None, None] * (r_nu @ projector(nu))
+    return DeformationField(mu, alpha, grad, nu, r_nu)
 
 
 def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface,
@@ -263,28 +261,23 @@ def compatibility_report(kappa1, kappa2, lam, alpha, n1=None, n2=None, nu=None):
 
 @dataclass(frozen=True)
 class BendingContent:
-    """Drilling (d, along e3) and bending (b, in-plane) content fields of
-    the reference-to-surface rotation, with validity masks and the
-    residual between the closed-form and Rodrigues-split paths."""
+    """Closed-form drilling (d, along e3) and bending (b, in-plane) content
+    fields of the reference-to-surface rotation; ``valid_d`` masks the cot
+    poles of d."""
 
     b: np.ndarray
     d: np.ndarray
-    valid: np.ndarray
     valid_d: np.ndarray
-    cross_residual_b: float
-    cross_residual_d: float
 
 
 def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
-    """Split the reference rotation about e3 into drilling and bending parts.
+    """Drilling and bending parts of the reference rotation split about e3.
 
-    Closed forms b = (1/rho) e_phi and d = -cot(chi/2 + phi) e3 are
-    cross-checked against the numeric path: assemble the rotation taking
-    (e1, e2, e3) to (e_u, e_v, nu), convert to a Rodrigues vector and split
-    it about e3.  Pi-turn loci (cot poles) are masked, not interpolated.
+    Closed forms b = (1/rho) e_phi and d = -cot(chi/2 + phi) e3; the cot
+    poles of d are masked, not interpolated.  :func:`bending_cross_check`
+    compares them with the numeric Rodrigues split.
     """
     u, v, rho, phi = s.grid.coords
-    fr = s.frames
     b_cf = np.stack([-v, u, np.zeros_like(u)], axis=-1) / (rho**2)[..., None]
 
     half = 0.5 * s.chi + phi
@@ -292,7 +285,22 @@ def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
     valid_d = np.abs(sin_half) > POLE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         d_cf = -np.cos(half) / sin_half
+        d_field = d_cf[..., None] * np.array([0.0, 0.0, 1.0])
+    return BendingContent(b_cf, d_field, valid_d)
 
+
+def bending_cross_check(s: WeierstrassSurface,
+                        content: BendingContent | None = None):
+    """Closed-form bending content against its numeric path.
+
+    Assembles the rotation taking (e1, e2, e3) to (e_u, e_v, nu), converts
+    it to a Rodrigues vector and splits it about e3.  Returns ``(valid,
+    res_b, res_d)``: the mask of samples off the pi-turn locus and the max
+    deviation of the numeric b and d from the closed forms over it (0.0
+    where nothing is valid).
+    """
+    content = content or bending_drilling_field(s)
+    fr = s.frames
     r_ref = (fr.e_u[..., :, None] * np.array([1.0, 0.0, 0.0])
              + fr.e_v[..., :, None] * np.array([0.0, 1.0, 0.0])
              + fr.nu[..., :, None] * np.array([0.0, 0.0, 1.0]))
@@ -300,12 +308,11 @@ def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
     valid = ~pi_mask
     d_num, b_num = split_about_e3_batched(a_ref)
 
+    b_cf, d_cf = content.b, content.d[..., 2]
     res_b = float(np.abs(b_num[valid] - b_cf[valid]).max()) if np.any(valid) else 0.0
-    both = valid & valid_d
+    both = valid & content.valid_d
     res_d = float(np.abs(d_num[both] - d_cf[both]).max()) if np.any(both) else 0.0
-    with np.errstate(invalid="ignore"):
-        d_field = d_cf[..., None] * np.array([0.0, 0.0, 1.0])
-    return BendingContent(b_cf, d_field, valid, valid_d, res_b, res_d)
+    return valid, res_b, res_d
 
 
 def _normal_gram(nu_u, nu_v):

@@ -115,7 +115,7 @@ def cmd_gen(args):
     mesh = meshio.mesh_from_surface(surface)
     meshio.write_obj(mesh, args.out)
     if args.ply:
-        meshio.write_ply(mesh, args.ply)
+        meshio.write_ply(mesh, args.ply, meshio.surface_channels(surface))
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, "
           f"{len(mesh.faces)} faces ({datum.label})")
     return EXIT_OK

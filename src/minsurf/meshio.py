@@ -1,20 +1,19 @@
 """Mesh assembly and deterministic OBJ/PLY output.
 
 OBJ carries geometry only (17 significant digits, so floats round-trip
-exactly); per-vertex scalar channels go to a sidecar ASCII PLY.  Channels
-are computed on the first read of ``MeshArtifact.attributes``, so a mesh
-written as OBJ only (every ``animate`` frame) never computes them.  Quad
-winding follows the grid orientation, which by construction matches the
-surface normal.  The angular seam at phi = +/-pi is sampled twice (both
-cut edges are grid columns), so single-valued surfaces close up
-geometrically without any stitched faces across the cut.
+exactly); per-vertex scalar channels go to a sidecar ASCII PLY.  A
+:class:`MeshArtifact` holds geometry only: the channels are computed by
+:func:`surface_channels` for the PLY that reads them, so a mesh written as
+OBJ only (every ``animate`` frame) never computes them.  Quad winding
+follows the grid orientation, which by construction matches the surface
+normal.  The angular seam at phi = +/-pi is sampled twice (both cut edges
+are grid columns), so single-valued surfaces close up geometrically
+without any stitched faces across the cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
@@ -30,16 +29,10 @@ BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class MeshArtifact:
-    """Grid mesh with named per-vertex attribute channels.
-
-    ``channels`` builds the channel dict; it runs once, on the first read
-    of ``attributes``.  Channels are keyed by name; vector channels have
-    shape (n_vertices, 3), scalar ones (n_vertices,).
-    """
+    """Grid mesh: vertices (N, 3) and quad faces (M, 4) indexing them."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    channels: Callable[[], dict] = dict
 
     def __post_init__(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -48,20 +41,9 @@ class MeshArtifact:
                                 or self.faces.max() >= len(self.vertices)):
             raise InvalidInputError("face indices out of range")
 
-    @cached_property
-    def attributes(self) -> dict:
-        return self.channels()
-
 
 def mesh_from_surface(surface: WeierstrassSurface) -> MeshArtifact:
-    """Quad mesh of the sampled immersion with analysis channels.
-
-    Channels, computed on the first read of ``attributes``: ``normal``
-    (the shared normal map), ``gauss_curvature``, ``stretch`` (conformal
-    factor of the flat-to-surface map), ``drill`` (its drilling angle
-    about e3, nan on pi-turn loci) and ``bending_norm`` (magnitude 1/rho
-    of the universal bending content).
-    """
+    """Quad mesh of the sampled immersion."""
     ns, nt = surface.grid.shape
     vertices = surface.r.reshape(-1, 3)
     idx = np.arange(ns * nt).reshape(ns, nt)
@@ -71,10 +53,17 @@ def mesh_from_surface(surface: WeierstrassSurface) -> MeshArtifact:
         idx[1:, 1:].ravel(),
         idx[:-1, 1:].ravel(),
     ], axis=1)
-    return MeshArtifact(vertices, faces, partial(_surface_channels, surface))
+    return MeshArtifact(vertices, faces)
 
 
-def _surface_channels(surface: WeierstrassSurface) -> dict:
+def surface_channels(surface: WeierstrassSurface) -> dict:
+    """Per-vertex analysis channels of the surface, for :func:`write_ply`.
+
+    ``normal`` (the shared normal map, (N, 3)), ``gauss_curvature``,
+    ``stretch`` (conformal factor of the flat-to-surface map), ``drill``
+    (its drilling angle about e3, nan on cot poles) and ``bending_norm``
+    (magnitude 1/rho of the universal bending content).
+    """
     content = bending_drilling_field(surface)
     with np.errstate(invalid="ignore"):
         drill = np.where(content.valid_d,
@@ -88,8 +77,8 @@ def _surface_channels(surface: WeierstrassSurface) -> dict:
     }
 
 
-def face_normal_alignment(mesh: MeshArtifact) -> float:
-    """Min dot product between face normals and the vertex-normal channel."""
+def face_normal_alignment(mesh: MeshArtifact, normals) -> float:
+    """Min dot product between face normals and per-vertex ``normals``."""
     v = mesh.vertices
     f = mesh.faces
     d1 = v[f[:, 1]] - v[f[:, 0]]
@@ -97,18 +86,21 @@ def face_normal_alignment(mesh: MeshArtifact) -> float:
     n = np.cross(d1, d2)
     norms = np.linalg.norm(n, axis=-1, keepdims=True)
     n = n / np.where(norms > 0, norms, 1.0)
-    nu_face = mesh.attributes["normal"][f].mean(axis=1)
+    nu_face = normals[f].mean(axis=1)
     return float(np.einsum("ij,ij->i", n, nu_face).min())
 
 
-def _write_rows(fh, row_fmt, table):
-    """Write each row of a 2-D array as ``row_fmt % tuple(row)``.
+def _write_rows(fh, row_fmt, *columns):
+    """Write row i of the side-by-side ``columns`` as ``row_fmt % tuple(row)``.
 
-    ``"%.17g" % x`` spells a float exactly as ``f"{x:.17g}"`` does, and
-    ``"%d" % i`` an integer as ``str(i)``.
+    Each column is (N,) or (N, k); blocks of several columns are joined
+    one block at a time, a lone table is formatted in place.  ``"%.17g" %
+    x`` spells a float exactly as ``f"{x:.17g}"`` does, and ``"%d" % i``
+    an integer as ``str(i)``.
     """
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = table[start:start + BLOCK_ROWS]
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        block = [col[start:start + BLOCK_ROWS] for col in columns]
+        block = block[0] if len(block) == 1 else np.column_stack(block)
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -135,27 +127,21 @@ def parse_obj(path):
     return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
 
 
-def write_ply(mesh: MeshArtifact, path):
-    """ASCII PLY with the scalar/vector channels as vertex properties."""
-    scalar_names = [k for k, a in mesh.attributes.items() if a.ndim == 1]
-    header = [
-        "ply", "format ascii 1.0",
-        f"element vertex {len(mesh.vertices)}",
-        "property double x", "property double y", "property double z",
-    ]
-    if "normal" in mesh.attributes:
-        header += ["property double nx", "property double ny", "property double nz"]
-    header += [f"property double {name}" for name in scalar_names]
+def write_ply(mesh: MeshArtifact, path, channels):
+    """ASCII PLY with per-vertex ``channels`` as vertex properties.
+
+    ``channels`` maps ``normal`` to (N, 3) normals, written as nx ny nz,
+    and further names to (N,) scalars; :func:`surface_channels` builds it.
+    """
+    scalar_names = [k for k, a in channels.items() if a.ndim == 1]
+    names = ["x", "y", "z", "nx", "ny", "nz"] + scalar_names
+    cols = [mesh.vertices, channels["normal"]] + [channels[k] for k in scalar_names]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}"]
+    header += [f"property double {name}" for name in names]
     header += [f"element face {len(mesh.faces)}",
                "property list uchar int vertex_indices", "end_header"]
 
-    cols = [mesh.vertices]
-    if "normal" in mesh.attributes:
-        cols.append(mesh.attributes["normal"])
-    cols += [mesh.attributes[name][:, None] for name in scalar_names]
-    table = np.hstack(cols)
-
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        _write_rows(fh, " ".join(["%.17g"] * table.shape[1]) + "\n", table)
+        _write_rows(fh, " ".join(["%.17g"] * len(names)) + "\n", *cols)
         _write_rows(fh, "4 %d %d %d %d\n", mesh.faces)

@@ -34,6 +34,7 @@ import numpy as np
 from . import meshio
 from .bendneutral import (
     alpha_from_phi,
+    bending_cross_check,
     bending_drilling_field,
     chain_rule_residual,
     compatibility_ratio,
@@ -299,11 +300,12 @@ def check_universal_bending(cache):
                 np.abs(content.b - b_reference).max(), 1e-9)
         sub.add(f"A_formula[{label}]",
                 np.abs(a_fields[label] - a_reference).max(), 1e-9)
-        if content.valid.any():
-            sub.add(f"b_rodrigues_split[{label}]", content.cross_residual_b, 1e-9)
-            sub.add(f"d_rodrigues_split[{label}]", content.cross_residual_d, 1e-9)
+        valid, res_b, res_d = bending_cross_check(surf, content)
+        if valid.any():
+            sub.add(f"b_rodrigues_split[{label}]", res_b, 1e-9)
+            sub.add(f"d_rodrigues_split[{label}]", res_d, 1e-9)
         sub.items[f"masked_fraction[{label}]"] = {
-            "value": float(1.0 - content.valid.mean()), "tolerance": None,
+            "value": float(1.0 - valid.mean()), "tolerance": None,
             "passed": True}
 
     labels = list(b_fields)
@@ -468,6 +470,26 @@ def check_circulation(cache):
                       f"{COARSE}->{FINE}", residuals[1], 1e-3)
 
 
+def _animate_files(outdir, threads):
+    """Name -> bytes of the files one ``animate`` child process writes under
+    MINSURF_THREADS=threads; None if the child fails or writes nothing."""
+    # the child imports this package, however the parent found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, MINSURF_THREADS=threads, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minsurf.cli", "animate", "--family", "bour-t",
+         "--frames", "8", "--grid", "17x17", "--rmin", "0.3", "--rmax", "1.0",
+         "--outdir", outdir], env=env, capture_output=True)
+    if proc.returncode != 0 or not os.path.isdir(outdir):
+        return None
+    files = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
 def check_determinism_io(cache):
     sub = _Sub()
     surf = integrate_representation(enneper(), DomainGrid.polar(0.3, 1.2, 33, 33))
@@ -487,38 +509,17 @@ def check_determinism_io(cache):
                       and np.array_equal(faces, mesh.faces))
         sub.flag("obj_round_trip_exact", round_trip)
         sub.add("face_winding_aligned_with_normal",
-                meshio.face_normal_alignment(mesh), 0.0, mode="above")
+                meshio.face_normal_alignment(mesh, surf.nu.reshape(-1, 3)),
+                0.0, mode="above")
 
-        outputs = []
-        for threads in ("1", "2", "8"):
-            out = os.path.join(tmp, f"gen{threads}.obj")
-            env = dict(os.environ, MINSURF_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "minsurf.cli", "gen", "--surface", "enneper",
-                 "--grid", "17x17", "--rmin", "0.3", "--rmax", "1.0", "--out", out],
-                env=env, capture_output=True)
-            ok = proc.returncode == 0
-            with open(out, "rb") as fh:
-                outputs.append((ok, fh.read()))
-        gen_ok = (all(ok for ok, _ in outputs)
-                  and len({data for _, data in outputs}) == 1)
-        sub.flag("gen_bit_identical_across_threads", gen_ok)
-
-        reports = []
-        for threads in ("1", "8"):
-            rep = os.path.join(tmp, f"verify{threads}.json")
-            env = dict(os.environ, MINSURF_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "minsurf.cli", "verify",
-                 "--check", "09-image-minimality", "--out", rep],
-                env=env, capture_output=True)
-            ok = proc.returncode == 0
-            with open(rep, "rb") as fh:
-                reports.append((ok, fh.read()))
-        verify_ok = (all(ok for ok, _ in reports)
-                     and len({data for _, data in reports}) == 1)
-        sub.flag("verify_bit_identical_across_threads", verify_ok)
-    return sub.result("12-determinism-io", "gen/verify subprocess + obj round trip",
+        # animate is the command that reads MINSURF_THREADS
+        runs = [_animate_files(os.path.join(tmp, f"frames{threads}"), threads)
+                for threads in ("1", "2", "8")]
+        sub.flag("animate_bit_identical_across_threads",
+                 runs[0] is not None and "manifest.json" in runs[0]
+                 and all(run == runs[0] for run in runs))
+    return sub.result("12-determinism-io",
+                      "animate subprocess at 1/2/8 threads + obj round trip",
                       "-", 0.0, 0.0)
 
 

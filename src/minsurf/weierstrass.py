@@ -540,7 +540,6 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
                 f"(CR {report.max_cauchy_riemann:.3e}, harmonicity "
                 f"{report.max_phi_harmonic:.3e}/{report.max_chi_harmonic:.3e})")
 
-    path_residual = 0.0
     if use_catalog:
         _, _, rho, phi = grid.coords
         r = _catalog_position(datum.power, rho, phi)
@@ -549,12 +548,9 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
         edges_s = _edge_integrals(datum, grid, axis=0)
         edges_t = _edge_integrals(datum, grid, axis=1)
         r = path_integrate(edges_s, edges_t, grid.anchor).real
-        alt = path_integrate(edges_s, edges_t, grid.anchor,
-                             column_first=True).real
-        path_residual = float(np.abs(r - alt).max())
     if not np.all(np.isfinite(r)):
         raise DomainError(f"immersion for {datum.label} is singular on the domain")
-    return WeierstrassSurface(datum, grid, r, path_residual=path_residual)
+    return WeierstrassSurface(datum, grid, r)
 
 
 # -- the surface object ----------------------------------------------------------
@@ -563,11 +559,10 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
 class WeierstrassSurface:
     """Sampled minimal immersion together with its closed-form fields."""
 
-    def __init__(self, datum, grid, r, path_residual=0.0):
+    def __init__(self, datum, grid, r):
         self.datum = datum
         self.grid = grid
         self.r = np.asarray(r, dtype=float)
-        self.path_residual = path_residual
         u, v, rho, _ = grid.coords
         self.Phi, self.chi = datum.sample(grid)
         if not np.all(np.isfinite(self.Phi)):

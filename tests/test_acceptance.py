@@ -18,6 +18,14 @@ def cache():
     return _SurfaceCache()
 
 
+@pytest.fixture(scope="module")
+def full_run():
+    """The full suite's report and its elapsed seconds, run once per module."""
+    start = time.perf_counter()
+    report = run_suite()
+    return report, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("check_id", list(CRITERIA))
 def test_criterion(check_id, cache):
     result = CRITERIA[check_id](cache)
@@ -29,10 +37,8 @@ def test_criterion(check_id, cache):
     assert result.passed, f"{check_id} failed sub-checks: {failed}"
 
 
-def test_full_suite_passes_within_runtime_budget():
-    start = time.perf_counter()
-    report = run_suite()
-    elapsed = time.perf_counter() - start
+def test_full_suite_passes_within_runtime_budget(full_run):
+    report, elapsed = full_run
     assert report["summary"]["all_passed"], report["summary"]
     assert report["summary"]["total"] == len(CRITERIA)
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s, budget is 2 minutes"
@@ -45,10 +51,10 @@ def test_report_is_deterministic():
     assert first == second
 
 
-def test_every_criterion_appears_exactly_once():
+def test_every_criterion_appears_exactly_once(full_run):
     report = run_suite(["01-rotation-split", "02-axis-distance-extrema"])
     ids = [c["check_id"] for c in report["checks"]]
     assert len(ids) == len(set(ids))
-    full = run_suite()
+    full, _ = full_run
     ids = [c["check_id"] for c in full["checks"]]
     assert ids == list(CRITERIA)

@@ -6,6 +6,7 @@ import pytest
 
 from minsurf.bendneutral import (
     alpha_from_phi,
+    bending_cross_check,
     bending_drilling_field,
     chain_rule_residual,
     compatibility_ratio,
@@ -302,10 +303,10 @@ class TestBendingContent:
 
     def test_numeric_split_agrees(self):
         for datum in (enneper(), bour(3.0), helicoid()):
-            field = bending_drilling_field(surf(datum))
-            assert field.valid.any()
-            assert field.cross_residual_b < 1e-9
-            assert field.cross_residual_d < 1e-9
+            valid, res_b, res_d = bending_cross_check(surf(datum))
+            assert valid.any()
+            assert res_b < 1e-9
+            assert res_d < 1e-9
 
     def test_universality_across_data(self):
         fields = [bending_drilling_field(surf(d))
@@ -335,9 +336,10 @@ class TestBendingContent:
 
     def test_catenoid_reference_rotation_is_pi_turn(self):
         # chi/2 + phi = 0 identically: the cot pole covers the whole grid
-        field = bending_drilling_field(surf(catenoid()))
-        assert not field.valid.any()
-        assert not field.valid_d.any()
+        s = surf(catenoid())
+        valid, _, _ = bending_cross_check(s)
+        assert not valid.any()
+        assert not bending_drilling_field(s).valid_d.any()
 
     def test_enneper_pole_on_real_axis(self):
         # chi = 0: the drilling content diverges along phi = 0

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and mesh output."""
 
 import json
+import subprocess
 import weakref
 
 import numpy as np
@@ -24,17 +25,17 @@ def reference_obj(mesh):
     return "\n".join(lines) + "\n"
 
 
-def reference_ply(mesh):
+def reference_ply(mesh, channels):
     """One f-string per value: the spelling write_ply must reproduce."""
-    scalar_names = [k for k, a in mesh.attributes.items() if a.ndim == 1]
+    scalar_names = [k for k, a in channels.items() if a.ndim == 1]
     lines = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}",
              "property double x", "property double y", "property double z",
              "property double nx", "property double ny", "property double nz"]
     lines += [f"property double {name}" for name in scalar_names]
     lines += [f"element face {len(mesh.faces)}",
               "property list uchar int vertex_indices", "end_header"]
-    table = np.hstack([mesh.vertices, mesh.attributes["normal"]]
-                      + [mesh.attributes[name][:, None] for name in scalar_names])
+    table = np.hstack([mesh.vertices, channels["normal"]]
+                      + [channels[name][:, None] for name in scalar_names])
     lines += [" ".join(f"{val:.17g}" for val in row) for row in table]
     lines += ["4 " + " ".join(str(i) for i in quad) for quad in mesh.faces]
     return "\n".join(lines) + "\n"
@@ -51,8 +52,9 @@ def assert_text_equal(path, expected):
 
 
 def awkward_mesh():
-    """More rows than one write block (and not a multiple of it), with
-    signed zeros, infinities, extreme exponents and nan channel values."""
+    """A mesh and its PLY channels: more rows than one write block (and not
+    a multiple of it), with signed zeros, infinities, extreme exponents and
+    nan channel values."""
     rng = np.random.default_rng(7)
     n = 2 * meshio.BLOCK_ROWS + 321
     special = [0.0, -0.0, np.inf, -np.inf, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3]
@@ -69,7 +71,7 @@ def awkward_mesh():
     drill[rng.random(n) < 0.1] = np.nan
     channels = {"normal": column((n, 3)), "gauss_curvature": column(n),
                 "stretch": column(n), "drill": drill, "bending_norm": column(n)}
-    return meshio.MeshArtifact(vertices, faces, lambda: channels)
+    return meshio.MeshArtifact(vertices, faces), channels
 
 
 class TestGen:
@@ -132,6 +134,19 @@ class TestGen:
         assert any("gauss_curvature" in line for line in text)
         assert any(line.startswith("element vertex 144") for line in text)
 
+    def test_ply_skips_rodrigues_cross_check(self, tmp_path, monkeypatch):
+        # the PLY channels are closed forms; the numeric Rodrigues split is
+        # a cross-check that only the verify suite reads
+        def unread(*args, **kwargs):
+            raise AssertionError("Rodrigues cross-check computed for a PLY")
+
+        argv = ["gen", "--surface", "bour:m=3", "--grid", "12x12",
+                "--rmin", "0.2", "--out", str(tmp_path / "s.obj")]
+        assert main(argv + ["--ply", str(tmp_path / "a.ply")]) == 0
+        monkeypatch.setattr("minsurf.bendneutral.rodrigues_from_matrices", unread)
+        assert main(argv + ["--ply", str(tmp_path / "b.ply")]) == 0
+        assert read_bytes(tmp_path / "a.ply") == read_bytes(tmp_path / "b.ply")
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": "enneper", "grid": "8x8",
@@ -182,30 +197,31 @@ class TestMeshArtifact:
             surface = integrate_representation(
                 parse_surface_spec(spec), DomainGrid.polar(0.4, 1.3, 21, 21))
             mesh = meshio.mesh_from_surface(surface)
-            assert meshio.face_normal_alignment(mesh) > 0.0
+            normals = surface.nu.reshape(-1, 3)
+            assert meshio.face_normal_alignment(mesh, normals) > 0.0
 
     def test_attribute_channels_present(self):
         surface = integrate_representation(enneper(),
                                            DomainGrid.polar(0.4, 1.3, 9, 9))
-        mesh = meshio.mesh_from_surface(surface)
-        assert set(mesh.attributes) == {"normal", "gauss_curvature", "stretch",
-                                        "drill", "bending_norm"}
-        assert mesh.attributes["normal"].shape == (81, 3)
-        assert mesh.attributes["gauss_curvature"].shape == (81,)
-        np.testing.assert_allclose(mesh.attributes["bending_norm"],
+        channels = meshio.surface_channels(surface)
+        assert set(channels) == {"normal", "gauss_curvature", "stretch",
+                                 "drill", "bending_norm"}
+        assert channels["normal"].shape == (81, 3)
+        assert channels["gauss_curvature"].shape == (81,)
+        np.testing.assert_allclose(channels["bending_norm"],
                                    1.0 / surface.grid.coords[2].ravel())
 
     def test_obj_bytes_match_reference(self, tmp_path):
-        mesh = awkward_mesh()
+        mesh, _ = awkward_mesh()
         path = tmp_path / "awkward.obj"
         meshio.write_obj(mesh, path)
         assert_text_equal(path, reference_obj(mesh))
 
     def test_ply_bytes_match_reference(self, tmp_path):
-        mesh = awkward_mesh()
+        mesh, channels = awkward_mesh()
         path = tmp_path / "awkward.ply"
-        meshio.write_ply(mesh, path)
-        assert_text_equal(path, reference_ply(mesh))
+        meshio.write_ply(mesh, path, channels)
+        assert_text_equal(path, reference_ply(mesh, channels))
 
 
 class TestAnimate:
@@ -330,6 +346,21 @@ class TestVerifyCommand:
                          "01-rotation-split,09-image-minimality",
                          "--out", str(path)]) == 0
         assert read_bytes(a) == read_bytes(b)
+
+    def test_failed_child_fails_determinism_check(self, tmp_path, monkeypatch):
+        # a child process that fails and writes nothing fails its sub-check;
+        # the suite still writes its report
+        def failed(argv, **kwargs):
+            return subprocess.CompletedProcess(argv, 1)
+
+        monkeypatch.setattr("minsurf.verify.subprocess.run", failed)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--check", "12-determinism-io",
+                     "--out", str(report_path)]) == 1
+        (record,) = json.loads(report_path.read_text())["checks"]
+        failed_items = [name for name, item in record["details"].items()
+                        if not item["passed"]]
+        assert failed_items == ["animate_bit_identical_across_threads"]
 
     def test_grid_refinement_selects_convergence_checks(self, tmp_path):
         report_path = tmp_path / "conv.json"

@@ -8,6 +8,7 @@ import pytest
 
 from minsurf import weierstrass
 from minsurf.errors import DomainError, InvalidInputError
+from minsurf.surfcalc import path_integrate
 from minsurf.weierstrass import (
     DomainGrid,
     HolomorphicDatum,
@@ -138,7 +139,10 @@ class TestIntegrateRepresentation:
         cat = integrate_representation(datum, grid, method="catalog")
         quad = integrate_representation(datum, grid, method="quadrature")
         assert np.abs(cat.r - quad.r).max() < 1e-10
-        assert quad.path_residual < 1e-9
+        # row-first (quad.r) against column-first over the same edge integrals
+        edges = [weierstrass._edge_integrals(datum, grid, axis) for axis in (0, 1)]
+        alt = path_integrate(*edges, grid.anchor, column_first=True).real
+        assert np.abs(quad.r - alt).max() < 1e-9
 
     def test_quadrature_cartesian(self):
         grid = DomainGrid.cartesian(-0.8, 0.8, -0.6, 0.6, 33, 25)
@@ -321,10 +325,14 @@ class TestBlockedEdgePass:
     @pytest.mark.parametrize("rows", [1, 200])
     def test_bit_identical_to_default_block(self, grid, rows, monkeypatch):
         default = integrate_representation(self.DATUM, grid)
+        edges = [weierstrass._edge_integrals(self.DATUM, grid, axis)
+                 for axis in (0, 1)]
         monkeypatch.setattr(weierstrass, "EDGE_BLOCK_ROWS", rows)
         blocked = integrate_representation(self.DATUM, grid)
         assert np.array_equal(blocked.r, default.r)
-        assert blocked.path_residual == default.path_residual
+        for axis in (0, 1):
+            assert np.array_equal(
+                weierstrass._edge_integrals(self.DATUM, grid, axis), edges[axis])
 
     def test_peak_memory_bounded(self):
         grid = DomainGrid.polar(0.075, 1.5, 256, 256)
