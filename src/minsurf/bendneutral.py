@@ -71,8 +71,7 @@ def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> De
     mu = exp(Phi* - Phi) and alpha = chi* - chi, read directly off the two
     data; the surfaces must be sampled on the identical grid.
     """
-    if (s.grid.kind != s_star.grid.kind
-            or not np.array_equal(s.grid.s, s_star.grid.s)
+    if (not np.array_equal(s.grid.s, s_star.grid.s)
             or not np.array_equal(s.grid.t, s_star.grid.t)):
         raise InvalidInputError("surfaces must share the identical domain grid")
     mu = np.exp(s_star.Phi - s.Phi)
@@ -83,17 +82,15 @@ def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> De
     return DeformationField(mu, alpha, grad, nu, r_nu)
 
 
-def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface,
-                        deformation: DeformationField | None = None,
-                        fd_order=2):
+def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface):
     """Relative residual of (grad_s y) r_dot = r*_dot along both grid axes.
 
-    Tangents come from finite differences of the two integrated
+    Tangents come from order-2 finite differences of the two integrated
     immersions, so the residual is O(h^2) for a correct gradient field.
     """
-    d = deformation or deformation_between(s, s_star)
-    patch = s.patch(fd_order=fd_order)
-    patch_star = s_star.patch(fd_order=fd_order)
+    d = deformation_between(s, s_star)
+    patch = s.patch()
+    patch_star = s_star.patch()
     mask = s.grid.interior()
     out = 0.0
     scale = float(np.linalg.norm(patch_star.r_s[mask], axis=-1).max())
@@ -107,19 +104,20 @@ def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface,
 
 
 def alpha_from_phi(patch: SurfacePatch, phi, alpha0=0.0, base=None,
-                   require_harmonic=True, harmonic_tol=5e-2):
+                   require_harmonic=True):
     """Reconstruct the drilling angle from grad_s alpha = nu x grad_s phi.
 
-    phi must be surface harmonic (checked unless disabled, e.g. for
-    negative controls); alpha is fixed to alpha0 at the base grid node and
-    recovered by path integration, path independent up to O(h^2).
+    phi must be surface harmonic, to a Laplacian residual of 5e-2 (checked
+    unless disabled, e.g. for negative controls); alpha is fixed to alpha0
+    at the base grid node and recovered by path integration, path
+    independent up to O(h^2).
     """
     phi = np.asarray(phi, dtype=float)
     if base is None:
         base = (patch.shape[0] // 2, patch.shape[1] // 2)
     lap = surface_laplacian(patch, phi)
     resid = float(np.abs(lap[patch.interior()]).max())
-    if require_harmonic and resid > harmonic_tol:
+    if require_harmonic and resid > 5e-2:
         raise IntegrabilityError(
             f"phi is not surface harmonic (laplacian residual {resid:.3e})",
             residual=resid)
@@ -206,13 +204,12 @@ class CompatibilityReport:
     symmetry_residual: float
 
 
-def _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu):
+def _image_curvature_tensor(kappa1, kappa2, lam, alpha):
     """Image curvature tensor of the reduced case over the broadcast shape of
-    the inputs, in the fixed frame (e1, e2, e3) unless a frame is given."""
+    the inputs, in the fixed frame (n1, n2, nu) = (e1, e2, e3)."""
     args = [np.asarray(x, dtype=float) for x in (kappa1, kappa2, lam, alpha)]
     shape = np.broadcast_shapes(*(x.shape for x in args))
-    if n1 is None:
-        n1, n2, nu = (np.broadcast_to(e, shape + (3,)) for e in np.eye(3))
+    n1, n2, nu = (np.broadcast_to(e, shape + (3,)) for e in np.eye(3))
     kappa1, kappa2, lam, alpha = (np.broadcast_to(x, shape) for x in args)
     mu1 = lam * kappa1
     mu2 = -lam * kappa2
@@ -223,8 +220,7 @@ def _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu):
             + (kappa2 / mu2)[..., None, None] * n2[..., :, None] * rn2[..., None, :])
 
 
-def image_mean_curvature_check(kappa1, kappa2, lam, alpha,
-                               n1=None, n2=None, nu=None):
+def image_mean_curvature_check(kappa1, kappa2, lam, alpha):
     """|tr| of the image curvature tensor for the reduced hyperbolic stretching.
 
     With U = lam (k1 n1 x n1 - k2 n2 x n2), k1 > 0 > k2, lam > 0 the trace
@@ -238,17 +234,17 @@ def image_mean_curvature_check(kappa1, kappa2, lam, alpha,
         raise InvalidInputError("reduced case requires kappa1 > 0 > kappa2")
     if np.any(lam <= 0.0):
         raise InvalidInputError("lambda must be positive")
-    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu)
+    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha)
     return np.abs(np.trace(tensor, axis1=-2, axis2=-1))
 
 
-def compatibility_report(kappa1, kappa2, lam, alpha, n1=None, n2=None, nu=None):
+def compatibility_report(kappa1, kappa2, lam, alpha):
     """Reduced-case report: mu2/mu1 against the scalar compatibility law,
     plus the symmetry defect of the image curvature tensor."""
     kappa1 = np.asarray(kappa1, dtype=float)
     kappa2 = np.asarray(kappa2, dtype=float)
     ratio_rhs = compatibility_ratio(kappa1, kappa2, alpha, 0.0)
-    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha, n1, n2, nu)
+    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha)
     shape = tensor.shape[:-2]
     antisym = tensor - np.swapaxes(tensor, -1, -2)
     return CompatibilityReport(np.broadcast_to(-kappa2 / kappa1, shape),
@@ -334,22 +330,22 @@ def pure_bending_measure(s: WeierstrassSurface):
     return _normal_gram(nu_u, nu_v)
 
 
-def pure_bending_measure_fd(s: WeierstrassSurface, fd_order=2):
+def pure_bending_measure_fd(s: WeierstrassSurface):
     """Finite-difference path for the pure bending tensor.
 
-    Fully independent of the closed forms: normals come from FD tangents
-    of the integrated immersion and their domain gradient from FD of that
-    field.  Statistics should exclude a boundary collar of 2 samples per
-    derivative layer (4 at order 2, 5 at order 4), where stencils degrade.
+    Fully independent of the closed forms: normals come from order-4 FD
+    tangents of the integrated immersion and their domain gradient from
+    order-4 FD of that field.  Statistics should exclude a boundary collar
+    of 5 samples, where stencils degrade.
     """
-    patch = s.patch(fd_order=fd_order)
+    patch = s.patch(fd_order=4)
     nu_u, nu_v = s.grid.uv_derivatives(*patch._nu_derivs)
     return _normal_gram(nu_u, nu_v)
 
 
-def normal_fd_residual(s: WeierstrassSurface, fd_order=2):
-    """Max deviation between FD immersion normals and the normal map."""
-    patch = s.patch(fd_order=fd_order)
+def normal_fd_residual(s: WeierstrassSurface):
+    """Max deviation between order-2 FD immersion normals and the normal map."""
+    patch = s.patch()
     mask = s.grid.interior()
     return float(np.abs(patch.nu - s.nu)[mask].max())
 

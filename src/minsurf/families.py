@@ -35,8 +35,8 @@ class FamilySpec:
     """Recipe for a one-parameter family of data.
 
     ``base`` is required for bonnet/general; ``harmonic_pair`` holds the
-    (phi, theta) callables of the general transformation, each of which
-    must be harmonic on the domain used to build frames.
+    (phi, theta) callables of the general transformation, which must be a
+    conjugate harmonic pair on the domain used to build frames.
     """
 
     kind: str
@@ -94,17 +94,20 @@ class FamilyFrame:
         return self.surface.rim_scale
 
 
-def validate_family(spec: FamilySpec, grid: DomainGrid, tol=1e-6):
-    """Check harmonicity of the general transformation pair on the grid."""
+def validate_family(spec: FamilySpec, grid: DomainGrid):
+    """Check that the general transformation pair is a conjugate harmonic
+    pair on the grid (Cauchy-Riemann and harmonicity), before any frame
+    is built."""
     if spec.kind != "general":
         return
     phi_h, theta_h = spec.harmonic_pair
     probe = HolomorphicDatum("family-pair", phi_h, theta_h)
     rep = validate_holomorphy(probe, grid)
-    if rep.max_phi_harmonic > tol or rep.max_chi_harmonic > tol:
+    if not rep.ok():
         raise InvalidInputError(
-            "general family pair is not harmonic on the domain "
-            f"(residuals {rep.max_phi_harmonic:.3e}, {rep.max_chi_harmonic:.3e})")
+            "general family pair is not a conjugate harmonic pair on the domain "
+            f"(CR {rep.max_cauchy_riemann:.3e}, harmonicity "
+            f"{rep.max_phi_harmonic:.3e}/{rep.max_chi_harmonic:.3e})")
 
 
 def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):

@@ -36,11 +36,10 @@ EDGE_BLOCK_ROWS = 8
 
 @dataclass(frozen=True)
 class DomainGrid:
-    """Rectangular sampling grid in the w-plane, polar or cartesian."""
+    """Polar sampling grid in the w-plane: rho in [rmin, rmax], rmin > 0."""
 
-    kind: str
-    s: np.ndarray  # rho axis (polar) or u axis (cartesian)
-    t: np.ndarray  # phi axis (polar) or v axis (cartesian)
+    s: np.ndarray  # rho axis
+    t: np.ndarray  # phi axis
 
     @classmethod
     def polar(cls, rmin, rmax, n_rho, n_phi, phi_min=-np.pi, phi_max=np.pi):
@@ -48,18 +47,7 @@ class DomainGrid:
             raise DomainError("polar grid requires rmin > 0 (w = 0 is a chart singularity)")
         if rmax <= rmin:
             raise InvalidInputError("polar grid requires rmax > rmin")
-        return cls("polar", np.linspace(rmin, rmax, n_rho),
-                   np.linspace(phi_min, phi_max, n_phi))
-
-    @classmethod
-    def cartesian(cls, u0, u1, v0, v1, nu, nv):
-        if u1 <= u0 or v1 <= v0:
-            raise InvalidInputError("empty cartesian domain")
-        return cls("cartesian", np.linspace(u0, u1, nu), np.linspace(v0, v1, nv))
-
-    def __post_init__(self):
-        if self.kind not in ("polar", "cartesian"):
-            raise InvalidInputError(f"unknown grid kind {self.kind!r}")
+        return cls(np.linspace(rmin, rmax, n_rho), np.linspace(phi_min, phi_max, n_phi))
 
     @property
     def shape(self):
@@ -69,9 +57,7 @@ class DomainGrid:
     def coords(self):
         """(U, V, RHO, PHI) arrays of shape (ns, nt)."""
         ss, tt = np.meshgrid(self.s, self.t, indexing="ij")
-        if self.kind == "polar":
-            return ss * np.cos(tt), ss * np.sin(tt), ss, tt
-        return ss, tt, np.hypot(ss, tt), np.arctan2(tt, ss)
+        return ss * np.cos(tt), ss * np.sin(tt), ss, tt
 
     @property
     def w(self):
@@ -81,12 +67,9 @@ class DomainGrid:
     @cached_property
     def anchor(self):
         """Grid node used as base point (translation fixed to zero there)."""
-        if self.kind == "polar":
-            i0 = int(np.argmin(np.abs(self.s - 0.5 * (self.s[0] + self.s[-1]))))
-            target = 0.0 if self.t[0] <= 0.0 <= self.t[-1] else 0.5 * (self.t[0] + self.t[-1])
-            j0 = int(np.argmin(np.abs(self.t - target)))
-        else:
-            i0, j0 = self.s.size // 2, self.t.size // 2
+        i0 = int(np.argmin(np.abs(self.s - 0.5 * (self.s[0] + self.s[-1]))))
+        target = 0.0 if self.t[0] <= 0.0 <= self.t[-1] else 0.5 * (self.t[0] + self.t[-1])
+        j0 = int(np.argmin(np.abs(self.t - target)))
         return i0, j0
 
     def chart_laplacian(self, f, order=2):
@@ -94,8 +77,6 @@ class DomainGrid:
         hs, ht = fd.spacing(self.s), fd.spacing(self.t)
         fss = fd.d2(f, hs, axis=0, order=order)
         ftt = fd.d2(f, ht, axis=1, order=order)
-        if self.kind == "cartesian":
-            return fss + ftt
         rho = self.s[:, None]
         if np.asarray(f).ndim == 3:
             rho = rho[..., None]
@@ -104,8 +85,6 @@ class DomainGrid:
 
     def uv_derivatives(self, f_s, f_t):
         """Convert chart derivatives into (d/du, d/dv)."""
-        if self.kind == "cartesian":
-            return f_s, f_t
         _, _, rho, phi = self.coords
         c, s = np.cos(phi), np.sin(phi)
         if np.asarray(f_s).ndim == 3:
@@ -271,15 +250,34 @@ def _check_expression(node):
             f"expression may not contain {type(node).__name__} nodes")
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Replace each number by a name bound to it as np.float64, so that
+    constant-only parts such as 1/0 or 10**400 follow numpy semantics (a
+    non-finite value, no exception and no huge Python integer)."""
+
+    def __init__(self):
+        self.values = {}
+
+    def visit_Constant(self, node):
+        name = f"_c{len(self.values)}"
+        try:
+            self.values[name] = np.float64(node.value)
+        except OverflowError as exc:
+            raise InvalidInputError(f"expression constant {node.value} is too large") from exc
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
+
+
 def compile_expression(expr):
     try:
-        _check_expression(ast.parse(expr, "<datum-expression>", "eval"))
+        tree = ast.parse(expr, "<datum-expression>", "eval")
     except SyntaxError as exc:
         raise InvalidInputError(f"expression {expr!r} is not valid: {exc.msg}") from exc
-    code = compile(expr, "<datum-expression>", "eval")
+    _check_expression(tree)
+    constants = _FloatConstants()
+    code = compile(constants.visit(tree), "<datum-expression>", "eval")
 
     def evaluate(u, v, rho, phi):
-        ns = dict(_EXPR_FUNCS, u=u, v=v, rho=rho, phi=phi)
+        ns = dict(_EXPR_FUNCS, **constants.values, u=u, v=v, rho=rho, phi=phi)
         return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked tree
 
     return evaluate
@@ -341,12 +339,14 @@ class HolomorphyReport:
     max_phi_harmonic: float
     max_chi_harmonic: float
 
-    def ok(self, tol=1e-6):
+    def ok(self):
+        """All three residuals below 1e-6 (NaN fails)."""
+        tol = 1e-6
         return (self.max_cauchy_riemann < tol and self.max_phi_harmonic < tol
                 and self.max_chi_harmonic < tol)
 
 
-def validate_holomorphy(datum: HolomorphicDatum, grid: DomainGrid, step=3e-3):
+def validate_holomorphy(datum: HolomorphicDatum, grid: DomainGrid):
     """Cauchy-Riemann and harmonicity residuals of (Phi, chi) on the grid.
 
     Residuals are formed in polar variables with order-4 stencils at an
@@ -359,25 +359,28 @@ def validate_holomorphy(datum: HolomorphicDatum, grid: DomainGrid, step=3e-3):
     if not np.any(usable):
         raise InvalidInputError("grid degenerates to w = 0; cannot probe holomorphy")
     rho, phi = rho[usable], phi[usable]
-    hr = float(step) * rho
-    hp = float(step)
+    hp = 3e-3  # probe step in phi, and relative to rho in rho
+    hr = hp * rho
 
     def at(kr, kp):
         r = rho + kr * hr
         p = phi + kp * hp
         return np.stack(datum.values_at(r * np.cos(p), r * np.sin(p), r, p))
 
-    center = at(0, 0)
-    rm2, rm1, rp1, rp2 = at(-2, 0), at(-1, 0), at(1, 0), at(2, 0)
-    pm2, pm1, pp1, pp2 = at(0, -2), at(0, -1), at(0, 1), at(0, 2)
+    # data that are not finite on the grid report NaN or inf residuals,
+    # which fail HolomorphyReport.ok(), instead of warnings
+    with np.errstate(all="ignore"):
+        center = at(0, 0)
+        rm2, rm1, rp1, rp2 = at(-2, 0), at(-1, 0), at(1, 0), at(2, 0)
+        pm2, pm1, pp1, pp2 = at(0, -2), at(0, -1), at(0, 1), at(0, 2)
 
-    d_r = (-rp2 + 8 * rp1 - 8 * rm1 + rm2) / (12 * hr)
-    d_p = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12 * hp)
-    d_rr = (-rp2 + 16 * rp1 - 30 * center + 16 * rm1 - rm2) / (12 * hr * hr)
-    d_pp = (-pp2 + 16 * pp1 - 30 * center + 16 * pm1 - pm2) / (12 * hp * hp)
+        d_r = (-rp2 + 8 * rp1 - 8 * rm1 + rm2) / (12 * hr)
+        d_p = (-pp2 + 8 * pp1 - 8 * pm1 + pm2) / (12 * hp)
+        d_rr = (-rp2 + 16 * rp1 - 30 * center + 16 * rm1 - rm2) / (12 * hr * hr)
+        d_pp = (-pp2 + 16 * pp1 - 30 * center + 16 * pm1 - pm2) / (12 * hp * hp)
 
-    cr = np.abs(d_r[0] - d_p[1] / rho) + np.abs(d_p[0] / rho + d_r[1])
-    lap = d_rr + d_r / rho + d_pp / rho**2
+        cr = np.abs(d_r[0] - d_p[1] / rho) + np.abs(d_p[0] / rho + d_r[1])
+        lap = d_rr + d_r / rho + d_pp / rho**2
     return HolomorphyReport(float(cr.max()), float(np.abs(lap[0]).max()),
                             float(np.abs(lap[1]).max()))
 
@@ -495,15 +498,9 @@ def _edge_integrals(datum, grid, axis):
         rows = fixed[start:start + EDGE_BLOCK_ROWS]
         sig = sigma[None, :, :] + 0.0 * rows[:, None, None]          # (nb, ne, 16)
         fix = rows[:, None, None] + 0.0 * sigma[None, :, :]
-        if grid.kind == "polar":
-            rho, phi = (sig, fix) if axis == 0 else (fix, sig)
-            dw = np.exp(1j * phi) if axis == 0 else 1j * rho * np.exp(1j * phi)
-            u, v = rho * np.cos(phi), rho * np.sin(phi)
-        else:
-            u, v = (sig, fix) if axis == 0 else (fix, sig)
-            dw = np.full(u.shape, 1.0 if axis == 0 else 1.0j, dtype=complex)
-            rho, phi = np.hypot(u, v), np.arctan2(v, u)
-
+        rho, phi = (sig, fix) if axis == 0 else (fix, sig)
+        dw = np.exp(1j * phi) if axis == 0 else 1j * rho * np.exp(1j * phi)
+        u, v = rho * np.cos(phi), rho * np.sin(phi)
         w = u + 1j * v
         f = datum.f_complex(u, v, rho, phi)
         g = np.stack([0.5 * (1.0 - w * w) * f, 0.5j * (1.0 + w * w) * f, w * f],
@@ -524,9 +521,6 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
     """
     if method not in ("auto", "catalog", "quadrature"):
         raise InvalidInputError("method must be auto, catalog or quadrature")
-    if datum.singular_at_zero and grid.kind != "polar":
-        raise DomainError(f"{datum.label} is singular at w = 0; use an annulus "
-                          "(polar grid with rmin > 0)")
     if method == "catalog" and datum.power is None:
         raise InvalidInputError("catalog method requires a power-law datum")
     use_catalog = datum.power is not None and method != "quadrature"
@@ -534,7 +528,7 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
         # pure powers are holomorphic by construction; anything else gets
         # the Cauchy-Riemann guard before money is spent on quadrature
         report = validate_holomorphy(datum, grid)
-        if not report.ok(1e-6):
+        if not report.ok():
             raise InvalidInputError(
                 f"datum {datum.label!r} fails the holomorphy check "
                 f"(CR {report.max_cauchy_riemann:.3e}, harmonicity "
@@ -595,36 +589,32 @@ class WeierstrassSurface:
         return (float(np.abs(nu_ - nv_).max() / m.max()),
                 float(np.abs(dot).max() / (m**2).max()))
 
-    def harmonicity_residual(self, fd_order=2):
+    def harmonicity_residual(self):
         """Max |w-plane laplacian of r| over the interior, scale-relative."""
-        lap = self.grid.chart_laplacian(self.r, order=fd_order)
+        lap = self.grid.chart_laplacian(self.r)
         mask = self.grid.interior()
         scale = np.abs(self.conformal_factor[mask]).max()
         return float(np.abs(lap[mask]).max() / scale)
 
     def patch(self, fd_order=2, analytic="none") -> SurfacePatch:
-        """SurfacePatch view; ``analytic`` in {"none", "first", "full"}.
+        """SurfacePatch view; ``analytic`` in {"none", "full"}.
 
-        "first" supplies the closed-form chart tangents; "full" also the
-        closed-form normal and its chart derivatives, leaving nothing to
-        finite differences but field-level operations.
+        "none" leaves every derivative to finite differences of r; "full"
+        supplies the closed-form chart tangents, normal and normal
+        derivatives, leaving nothing to finite differences but field-level
+        operations.
         """
         if analytic == "none":
             return SurfacePatch(self.grid.s, self.grid.t, self.r, fd_order=fd_order)
-        r_s, r_t = self._to_chart(self.r_u, self.r_v)
-        if analytic == "first":
-            return SurfacePatch(self.grid.s, self.grid.t, self.r,
-                                r_s=r_s, r_t=r_t, fd_order=fd_order)
         if analytic != "full":
-            raise InvalidInputError("analytic must be 'none', 'first' or 'full'")
+            raise InvalidInputError("analytic must be 'none' or 'full'")
+        r_s, r_t = self._to_chart(self.r_u, self.r_v)
         nu_u, nu_v = self.normal_partials
         nu_s, nu_t = self._to_chart(nu_u, nu_v)
         return SurfacePatch(self.grid.s, self.grid.t, self.r, r_s=r_s, r_t=r_t,
                             nu=self.nu, nu_s=nu_s, nu_t=nu_t, fd_order=fd_order)
 
     def _to_chart(self, f_u, f_v):
-        if self.grid.kind == "cartesian":
-            return f_u, f_v
         _, _, rho, phi = self.grid.coords
         c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
         rr = rho[..., None]
@@ -633,7 +623,5 @@ class WeierstrassSurface:
     @property
     def rim_scale(self):
         """|r| at the outer-rim node nearest phi = 0 (gallery scaling factor)."""
-        if self.grid.kind == "polar":
-            j = int(np.argmin(np.abs(self.grid.t)))
-            return float(np.linalg.norm(self.r[-1, j]))
-        return float(np.linalg.norm(self.r[-1, self.grid.t.size // 2]))
+        j = int(np.argmin(np.abs(self.grid.t)))
+        return float(np.linalg.norm(self.r[-1, j]))

@@ -10,12 +10,7 @@ import time
 
 import pytest
 
-from minsurf.verify import CRITERIA, _SurfaceCache, report_to_json, run_suite
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return _SurfaceCache()
+from minsurf.verify import CRITERIA, report_to_json, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +22,15 @@ def full_run():
 
 
 @pytest.mark.parametrize("check_id", list(CRITERIA))
-def test_criterion(check_id, cache):
-    result = CRITERIA[check_id](cache)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {check_id}: max residual {result.max_residual:.3e} "
-          f"(tolerance {result.tolerance:.3e}, grid {result.grid})")
-    failed = {name: item for name, item in result.details.items()
+def test_criterion(check_id, full_run):
+    report, _ = full_run
+    (result,) = [r for r in report["checks"] if r["check_id"] == check_id]
+    status = "PASS" if result["passed"] else "FAIL"
+    print(f"{status} {check_id}: max residual {result['max_residual']:.3e} "
+          f"(tolerance {result['tolerance']:.3e}, grid {result['grid']})")
+    failed = {name: item for name, item in result["details"].items()
               if not item["passed"]}
-    assert result.passed, f"{check_id} failed sub-checks: {failed}"
+    assert result["passed"], f"{check_id} failed sub-checks: {failed}"
 
 
 def test_full_suite_passes_within_runtime_budget(full_run):

@@ -95,6 +95,22 @@ class TestGen:
                      "--out", str(tmp_path / "x.obj")])
         assert code == 2
 
+    # numbers are float64, so each of these is a non-finite datum for the
+    # holomorphy guard, or a literal float64 cannot hold, and never a Python
+    # exception or a ten-billion-digit integer
+    @pytest.mark.parametrize("expr", [
+        "1/0;0", "1%0;0", "0**-1;0", "10**400;0", "2.0**10000;0", "10**10**10;0",
+        pytest.param("1" + "0" * 400 + ";0", id="400-digit-literal"),
+    ])
+    def test_non_finite_expression_is_invalid_input(self, expr, tmp_path, capsys):
+        code = main(["gen", "--surface", f"custom:{expr}", "--grid", "9x9",
+                     "--out", str(tmp_path / "x.obj")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.obj").exists()
+
     def test_unknown_surface_rejected(self, tmp_path):
         assert main(["gen", "--surface", "gyroid",
                      "--out", str(tmp_path / "x.obj")]) == 2
@@ -312,6 +328,18 @@ class TestAnimate:
     def test_general_family_needs_pair(self, tmp_path):
         assert main(["animate", "--family", "general",
                      "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("pair", ["u;u", "1/0;0"])
+    def test_non_conjugate_pair_writes_no_frame(self, pair, tmp_path, capsys):
+        # (u, u) is harmonic but fails Cauchy-Riemann; the family check must
+        # reject it before frame 0, not on a later member
+        outdir = tmp_path / "frames"
+        code = main(["animate", "--family", "general", "--harmonic-pair", pair,
+                     "--grid", "9x9", "--frames", "3", "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "conjugate harmonic pair" in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
 
     def test_general_family_runs(self, tmp_path):
         outdir = tmp_path / "gen_frames"
