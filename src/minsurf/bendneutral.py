@@ -1,7 +1,9 @@
 """Bending-neutral deformation machinery.
 
-Covers the deformation gradient between minimal surfaces sharing a domain,
-its drilling factorization, the drilling/bending content fields of the
+Covers the deformation between minimal surfaces sharing a domain, held as
+(mu, alpha, nu) and assembled into its gradient mu R_nu(alpha) P(nu) only
+on request (the drilling rotation and projector are the kernels of
+:mod:`minsurf.rotations`), the drilling/bending content fields of the
 reference-to-surface rotation, the pure bending measure, and the
 compatibility and integrability checkers for the general hyperbolic case.
 
@@ -12,12 +14,17 @@ hold in that frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrabilityError, InvalidInputError
-from .rotations import rodrigues_from_matrices, skew, split_about_e3_batched
+from .rotations import (
+    drilling_rotation,
+    projector,
+    rodrigues_from_matrices,
+    split_about_e3_batched,
+)
 from .surfcalc import (
     CurvatureData,
     SurfacePatch,
@@ -32,41 +39,27 @@ from .weierstrass import WeierstrassSurface
 POLE_TOL = 1e-9
 
 
-def projector(nu):
-    """P(nu) = I - nu x nu for a field of unit vectors."""
-    nu = np.asarray(nu, dtype=float)
-    return np.eye(3) - nu[..., :, None] * nu[..., None, :]
-
-
-def drilling_rotation(nu, alpha):
-    """R_nu(alpha) = I + sin(alpha) W(nu) - (1 - cos(alpha)) P(nu), batched."""
-    nu = np.asarray(nu, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    sa = alpha[..., None, None]
-    return (np.eye(3) + np.sin(sa) * skew(nu)
-            - (1.0 - np.cos(sa)) * projector(nu))
-
-
 # -- deformation between minimal surfaces ----------------------------------------
 
 
 @dataclass(frozen=True)
 class DeformationField:
-    """Per-sample gradient of the map between two minimal surfaces.
-
-    grad = mu R_nu(alpha) P(nu): an in-plane stretch by mu composed with a
-    drilling rotation by alpha about the shared normal.
-    """
+    """Per-sample data of the map between two minimal surfaces: an in-plane
+    stretch by mu composed with a drilling rotation by alpha about the
+    shared normal nu."""
 
     mu: np.ndarray
     alpha: np.ndarray
-    grad: np.ndarray
     nu: np.ndarray
-    R_nu: np.ndarray = field(repr=False)
+
+    def gradient(self):
+        """The (..., 3, 3) gradient field G = mu R_nu(alpha) P(nu)."""
+        rotation = drilling_rotation(self.nu, self.alpha)
+        return self.mu[..., None, None] * (rotation @ projector(self.nu))
 
 
 def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> DeformationField:
-    """Deformation gradient field of the map r -> r* over a shared domain.
+    """Deformation field of the map r -> r* over a shared domain.
 
     mu = exp(Phi* - Phi) and alpha = chi* - chi, read directly off the two
     data; the surfaces must be sampled on the identical grid.
@@ -74,12 +67,7 @@ def deformation_between(s: WeierstrassSurface, s_star: WeierstrassSurface) -> De
     if (not np.array_equal(s.grid.s, s_star.grid.s)
             or not np.array_equal(s.grid.t, s_star.grid.t)):
         raise InvalidInputError("surfaces must share the identical domain grid")
-    mu = np.exp(s_star.Phi - s.Phi)
-    alpha = s_star.chi - s.chi
-    nu = s.nu
-    r_nu = drilling_rotation(nu, alpha)
-    grad = mu[..., None, None] * (r_nu @ projector(nu))
-    return DeformationField(mu, alpha, grad, nu, r_nu)
+    return DeformationField(np.exp(s_star.Phi - s.Phi), s_star.chi - s.chi, s.nu)
 
 
 def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface):
@@ -88,14 +76,14 @@ def chain_rule_residual(s: WeierstrassSurface, s_star: WeierstrassSurface):
     Tangents come from order-2 finite differences of the two integrated
     immersions, so the residual is O(h^2) for a correct gradient field.
     """
-    d = deformation_between(s, s_star)
+    grad = deformation_between(s, s_star).gradient()
     patch = s.patch()
     patch_star = s_star.patch()
     mask = s.grid.interior()
     out = 0.0
     scale = float(np.linalg.norm(patch_star.r_s[mask], axis=-1).max())
     for tan, tan_star in ((patch.r_s, patch_star.r_s), (patch.r_t, patch_star.r_t)):
-        res = np.einsum("ijkl,ijl->ijk", d.grad, tan) - tan_star
+        res = np.einsum("ijkl,ijl->ijk", grad, tan) - tan_star
         out = max(out, float(np.linalg.norm(res[mask], axis=-1).max()))
     return out / scale
 
@@ -257,9 +245,10 @@ def compatibility_report(kappa1, kappa2, lam, alpha):
 
 @dataclass(frozen=True)
 class BendingContent:
-    """Closed-form drilling (d, along e3) and bending (b, in-plane) content
-    fields of the reference-to-surface rotation; ``valid_d`` masks the cot
-    poles of d."""
+    """Closed-form content fields of the reference-to-surface rotation:
+    the bending content ``b`` (..., 3), an in-plane vector field, and the
+    drilling content ``d`` (...), the scalar coefficient of the drilling
+    vector d e3; ``valid_d`` masks the cot poles of d."""
 
     b: np.ndarray
     d: np.ndarray
@@ -269,9 +258,10 @@ class BendingContent:
 def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
     """Drilling and bending parts of the reference rotation split about e3.
 
-    Closed forms b = (1/rho) e_phi and d = -cot(chi/2 + phi) e3; the cot
-    poles of d are masked, not interpolated.  :func:`bending_cross_check`
-    compares them with the numeric Rodrigues split.
+    Closed forms b = (1/rho) e_phi and d = -cot(chi/2 + phi), the drilling
+    vector being d e3; the cot poles of d are masked, not interpolated.
+    :func:`bending_cross_check` compares them with the numeric Rodrigues
+    split.
     """
     u, v, rho, phi = s.grid.coords
     b_cf = np.stack([-v, u, np.zeros_like(u)], axis=-1) / (rho**2)[..., None]
@@ -281,8 +271,7 @@ def bending_drilling_field(s: WeierstrassSurface) -> BendingContent:
     valid_d = np.abs(sin_half) > POLE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         d_cf = -np.cos(half) / sin_half
-        d_field = d_cf[..., None] * np.array([0.0, 0.0, 1.0])
-    return BendingContent(b_cf, d_field, valid_d)
+    return BendingContent(b_cf, d_cf, valid_d)
 
 
 def bending_cross_check(s: WeierstrassSurface,
@@ -304,7 +293,7 @@ def bending_cross_check(s: WeierstrassSurface,
     valid = ~pi_mask
     d_num, b_num = split_about_e3_batched(a_ref)
 
-    b_cf, d_cf = content.b, content.d[..., 2]
+    b_cf, d_cf = content.b, content.d
     res_b = float(np.abs(b_num[valid] - b_cf[valid]).max()) if np.any(valid) else 0.0
     both = valid & content.valid_d
     res_d = float(np.abs(d_num[both] - d_cf[both]).max()) if np.any(both) else 0.0

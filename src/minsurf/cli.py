@@ -93,24 +93,18 @@ def _merge_config(args, parser):
     return args
 
 
-def _build_grid(datum, args):
+def _build_grid(args):
+    """Polar grid of the flags; rmin defaults to 0.05 rmax, and
+    DomainGrid.polar rejects rmin <= 0 for every datum."""
     n_rho, n_phi = _parse_grid(args.grid)
     rmax = float(args.rmax)
-    if args.rmin is None:
-        rmin = 0.05 * rmax
-    else:
-        rmin = float(args.rmin)
-        if rmin <= 0.0 and datum.singular_at_zero:
-            raise InvalidInputError(
-                f"{datum.label} is singular at w = 0; rmin must be positive")
-    if rmin <= 0.0:
-        rmin = rmax / n_rho  # open disk: skip the chart singularity at 0
+    rmin = 0.05 * rmax if args.rmin is None else float(args.rmin)
     return DomainGrid.polar(rmin, rmax, n_rho, n_phi)
 
 
 def cmd_gen(args):
     datum = parse_surface_spec(args.surface)
-    grid = _build_grid(datum, args)
+    grid = _build_grid(args)
     surface = integrate_representation(datum, grid)
     mesh = meshio.mesh_from_surface(surface)
     meshio.write_obj(mesh, args.out)
@@ -146,14 +140,8 @@ def _family_spec(args):
 
 
 def cmd_animate(args):
-    from .families import family_member
-
     spec = _family_spec(args)
-    # rmin defaults depend on whether members are singular at w = 0
-    worst_member = family_member(spec, spec.t0)
-    if not worst_member.singular_at_zero:
-        worst_member = family_member(spec, spec.t1)
-    grid = _build_grid(worst_member, args)
+    grid = _build_grid(args)
 
     start = time.perf_counter()
     os.makedirs(args.outdir, exist_ok=True)
@@ -185,11 +173,14 @@ REFINEMENT_CHECKS = ["03-weierstrass-identities", "05-gauss-curvature",
 
 
 def cmd_verify(args):
+    if args.grid_refinement and args.check:
+        raise InvalidInputError("--grid-refinement selects its own checks; "
+                                "it cannot be combined with --check")
     checks = None
     if args.check:
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
     if args.grid_refinement:
-        checks = REFINEMENT_CHECKS if checks is None else checks
+        checks = REFINEMENT_CHECKS
     start = time.perf_counter()
     report = verify.run_suite(checks)
     elapsed = time.perf_counter() - start

@@ -24,7 +24,7 @@ from .weierstrass import (
     enneper,
     from_power,
     integrate_representation,
-    validate_holomorphy,
+    require_holomorphic,
 )
 
 FAMILY_KINDS = ("bonnet", "general", "bour-t", "catenoid-helicoid")
@@ -101,25 +101,22 @@ def validate_family(spec: FamilySpec, grid: DomainGrid):
     if spec.kind != "general":
         return
     phi_h, theta_h = spec.harmonic_pair
-    probe = HolomorphicDatum("family-pair", phi_h, theta_h)
-    rep = validate_holomorphy(probe, grid)
-    if not rep.ok():
-        raise InvalidInputError(
-            "general family pair is not a conjugate harmonic pair on the domain "
-            f"(CR {rep.max_cauchy_riemann:.3e}, harmonicity "
-            f"{rep.max_phi_harmonic:.3e}/{rep.max_chi_harmonic:.3e})")
+    require_holomorphic(HolomorphicDatum("family-pair", phi_h, theta_h), grid,
+                        "general family pair is not a conjugate harmonic pair "
+                        "on the domain")
 
 
 def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):
-    """Build one surface per frame, uniformly spaced in t.
+    """Build one surface per frame, uniformly spaced in t, on a pool of
+    ``threads`` worker threads.
 
     Returns the :class:`FamilyFrame` list in frame order.  Given ``each``,
     the worker that builds a frame passes it to ``each`` and keeps only the
     result, so the list holds ``each(frame)`` instead and at most one
-    surface per thread is alive at a time.
+    surface per thread is alive at a time.  Every frame shares the grid's
+    normal field.
     """
     validate_family(spec, grid)
-    ts = spec.parameter_values()
 
     def build(item):
         idx, t = item
@@ -127,8 +124,5 @@ def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):
                             integrate_representation(family_member(spec, t), grid))
         return frame if each is None else each(frame)
 
-    items = list(enumerate(ts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, items))
-    return [build(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(build, enumerate(spec.parameter_values())))

@@ -67,7 +67,7 @@ def surface_channels(surface: WeierstrassSurface) -> dict:
     content = bending_drilling_field(surface)
     with np.errstate(invalid="ignore"):
         drill = np.where(content.valid_d,
-                         2.0 * np.arctan(content.d[..., 2]), np.nan)
+                         2.0 * np.arctan(content.d), np.nan)
     return {
         "normal": surface.nu.reshape(-1, 3),
         "gauss_curvature": surface.curvature.K.ravel(),

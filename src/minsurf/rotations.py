@@ -121,13 +121,13 @@ def _check_unit_axis(e):
 
 
 def rotation_from_axis_angle(e, alpha) -> RotationMatrix:
-    """Anticlockwise rotation about the unit axis e by alpha in [-pi, pi]."""
+    """Anticlockwise rotation about the unit axis e by alpha in [-pi, pi];
+    scalar view of :func:`drilling_rotation`."""
     e = _check_unit_axis(e)
     alpha = float(alpha)
     if not -np.pi <= alpha <= np.pi:
         raise InvalidInputError("angle must lie in [-pi, pi]")
-    w = skew(e)
-    return RotationMatrix(_EYE3 + np.sin(alpha) * w + (1.0 - np.cos(alpha)) * (w @ w))
+    return RotationMatrix(drilling_rotation(e, alpha))
 
 
 def matrix_from_rodrigues(a: RodriguesVector) -> RotationMatrix:
@@ -180,6 +180,22 @@ def axis_distance_profile(a: RodriguesVector, e, u_grid):
 #
 # Where a formula has no finite value (pi-turns) the kernels return nan and
 # a mask instead of raising, so grid fields can flag those loci.
+
+
+def projector(nu):
+    """P(nu) = I - nu x nu for a field of unit vectors."""
+    nu = np.asarray(nu, dtype=float)
+    return _EYE3 - nu[..., :, None] * nu[..., None, :]
+
+
+def drilling_rotation(nu, alpha):
+    """Rotations R_nu(alpha) = I + sin(alpha) W(nu) - (1 - cos(alpha)) P(nu)
+    about the unit axes ``nu`` (..., 3) by the angles ``alpha`` (...)."""
+    nu = np.asarray(nu, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    sa = alpha[..., None, None]
+    return (_EYE3 + np.sin(sa) * skew(nu)
+            - (1.0 - np.cos(sa)) * projector(nu))
 
 
 def matrices_from_rodrigues(a):

@@ -96,6 +96,13 @@ class DomainGrid:
     def interior(self, collar=2):
         return fd.interior_mask(self.shape, collar=collar)
 
+    @cached_property
+    def normal(self):
+        """Read-only unit normal field, shared by every surface on the grid."""
+        nu = normal(self.w)
+        nu.setflags(write=False)
+        return nu
+
 
 # -- holomorphic data ----------------------------------------------------------
 
@@ -129,10 +136,6 @@ class HolomorphicDatum:
     def f_complex(self, u, v, rho, phi):
         p, c = self.values_at(u, v, rho, phi)
         return np.exp(p + 1j * c)
-
-    @property
-    def singular_at_zero(self):
-        return self.power is not None and self.power[1] < 0.0
 
     def shifted(self, dphi, dchi, label=None):
         """Datum with (Phi + dphi, chi + dchi); loses the power fast path."""
@@ -319,14 +322,21 @@ def parse_surface_spec(spec):
 
 
 def _parse_kv(text, defaults):
-    out = dict(defaults)
+    out, given = dict(defaults), set()
     if text:
         for part in text.split(","):
             key, _, val = part.partition("=")
             key = key.strip()
             if key not in defaults:
                 raise InvalidInputError(f"unknown parameter {key!r}")
-            out[key] = float(val)
+            if key in given:
+                raise InvalidInputError(f"parameter {key!r} is given twice")
+            given.add(key)
+            try:
+                out[key] = float(val)
+            except ValueError:
+                raise InvalidInputError(
+                    f"parameter {key!r} needs a number, got {val!r}") from None
     return out
 
 
@@ -383,6 +393,16 @@ def validate_holomorphy(datum: HolomorphicDatum, grid: DomainGrid):
         lap = d_rr + d_r / rho + d_pp / rho**2
     return HolomorphyReport(float(cr.max()), float(np.abs(lap[0]).max()),
                             float(np.abs(lap[1]).max()))
+
+
+def require_holomorphic(datum: HolomorphicDatum, grid: DomainGrid, failure):
+    """Raise InvalidInputError, ``failure`` followed by the residuals,
+    unless ``datum`` passes :func:`validate_holomorphy` on the grid."""
+    report = validate_holomorphy(datum, grid)
+    if not report.ok():
+        raise InvalidInputError(
+            f"{failure} (CR {report.max_cauchy_riemann:.3e}, harmonicity "
+            f"{report.max_phi_harmonic:.3e}/{report.max_chi_harmonic:.3e})")
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -511,34 +531,20 @@ def _edge_integrals(datum, grid, axis):
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 
-def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid,
-                             method="auto"):
+def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid):
     """Build the immersion on the grid; returns a :class:`WeierstrassSurface`.
 
-    ``method``: "catalog" uses exact antiderivatives (power data only),
-    "quadrature" uses composite 16-point Gauss-Legendre along grid lines
-    from the base node, "auto" picks catalog when available.
+    Power data F = c w^k take exact antiderivatives.  Every other datum
+    must first pass the holomorphy guard, then is integrated by composite
+    16-point Gauss-Legendre quadrature along grid lines from the anchor.
     """
-    if method not in ("auto", "catalog", "quadrature"):
-        raise InvalidInputError("method must be auto, catalog or quadrature")
-    if method == "catalog" and datum.power is None:
-        raise InvalidInputError("catalog method requires a power-law datum")
-    use_catalog = datum.power is not None and method != "quadrature"
-    if datum.power is None:
-        # pure powers are holomorphic by construction; anything else gets
-        # the Cauchy-Riemann guard before money is spent on quadrature
-        report = validate_holomorphy(datum, grid)
-        if not report.ok():
-            raise InvalidInputError(
-                f"datum {datum.label!r} fails the holomorphy check "
-                f"(CR {report.max_cauchy_riemann:.3e}, harmonicity "
-                f"{report.max_phi_harmonic:.3e}/{report.max_chi_harmonic:.3e})")
-
-    if use_catalog:
+    if datum.power is not None:
         _, _, rho, phi = grid.coords
         r = _catalog_position(datum.power, rho, phi)
         r = r - r[grid.anchor]
     else:
+        require_holomorphic(datum, grid,
+                            f"datum {datum.label!r} fails the holomorphy check")
         edges_s = _edge_integrals(datum, grid, axis=0)
         edges_t = _edge_integrals(datum, grid, axis=1)
         r = path_integrate(edges_s, edges_t, grid.anchor).real
@@ -563,7 +569,7 @@ class WeierstrassSurface:
             raise DomainError("Phi is not finite on the domain (F = 0 or singular)")
         self.r_u, self.r_v = _metric_vectors_from(self.Phi, self.chi, u, v)
         self.conformal_factor = 0.5 * np.exp(self.Phi) * (rho**2 + 1.0)
-        self.nu = normal(grid.w)
+        self.nu = grid.normal
 
     @cached_property
     def frames(self) -> FrameField:

@@ -95,6 +95,28 @@ class TestGen:
                      "--out", str(tmp_path / "x.obj")])
         assert code == 2
 
+    # rmin > 0 is one rule for every datum, not a guess from its power
+    @pytest.mark.parametrize("rmin", ["0", "-1"])
+    @pytest.mark.parametrize("surface", [
+        "enneper", "custom:-2*ln(rho);-2*phi",
+        "bonnet:theta=0.3:custom:-2*ln(rho);-2*phi"])
+    def test_nonpositive_rmin_rejected(self, surface, rmin, tmp_path, capsys):
+        code = main(["gen", "--surface", surface, "--rmin", rmin, "--grid", "9x9",
+                     "--out", str(tmp_path / "x.obj")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "x.obj").exists()
+
+    @pytest.mark.parametrize("surface", ["bour:m=3,m=4", "bour:m"])
+    def test_bad_parameter_list_is_invalid_input(self, surface, tmp_path, capsys):
+        code = main(["gen", "--surface", surface, "--grid", "9x9",
+                     "--out", str(tmp_path / "x.obj")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "'m'" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.obj").exists()
+
     # numbers are float64, so each of these is a non-finite datum for the
     # holomorphy guard, or a literal float64 cannot hold, and never a Python
     # exception or a ten-billion-digit integer
@@ -341,6 +363,16 @@ class TestAnimate:
         assert "conjugate harmonic pair" in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
+    def test_general_family_rmin_zero_writes_no_frame(self, tmp_path, capsys):
+        outdir = tmp_path / "frames"
+        code = main(["animate", "--family", "general", "--base", "catenoid",
+                     "--harmonic-pair", "0.3*ln(rho);0.3*phi", "--rmin", "0",
+                     "--grid", "9x9", "--frames", "2", "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("*.obj"))
+
     def test_general_family_runs(self, tmp_path):
         outdir = tmp_path / "gen_frames"
         code = main(["animate", "--family", "general",
@@ -398,3 +430,19 @@ class TestVerifyCommand:
         ids = [c["check_id"] for c in report["checks"]]
         assert ids == ["03-weierstrass-identities", "05-gauss-curvature",
                        "07-bending-neutral-association", "11-circulation"]
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_grid_refinement_with_check_rejected(self, via_config, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        argv = ["verify", "--out", str(report_path)]
+        if via_config:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"grid-refinement": True,
+                                          "check": "09-image-minimality"}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--grid-refinement", "--check", "09-image-minimality"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not report_path.exists()

@@ -16,6 +16,7 @@ from minsurf.rotations import (
     axis_distance_profile,
     compose,
     compose_batched,
+    drilling_rotation,
     matrices_from_rodrigues,
     matrix_from_rodrigues,
     rodrigues_from_matrices,
@@ -64,6 +65,13 @@ class TestAxisAngle:
     def test_angle_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             rotation_from_axis_angle(E3, 3.5)
+
+    def test_scalar_view_of_drilling_rotation(self):
+        rng = np.random.default_rng(3)
+        for e, alpha in [(E1, np.pi), (E3, -np.pi / 3)] + [
+                (random_unit(rng), rng.uniform(-np.pi, np.pi)) for _ in range(20)]:
+            assert np.array_equal(rotation_from_axis_angle(e, alpha).m,
+                                  drilling_rotation(e, alpha))
 
 
 class TestMatrixValidation:

@@ -2,6 +2,7 @@
 quadrature cross-checks, and the holomorphy validator."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ class TestIntegrateRepresentation:
                                        helicoid()])
     def test_quadrature_matches_catalog(self, datum):
         grid = DomainGrid.polar(0.5, 1.5, 33, 33)
-        cat = integrate_representation(datum, grid, method="catalog")
-        quad = integrate_representation(datum, grid, method="quadrature")
+        cat = integrate_representation(datum, grid)
+        quad = integrate_representation(replace(datum, power=None), grid)
         assert np.abs(cat.r - quad.r).max() < 1e-10
         # row-first (quad.r) against column-first over the same edge integrals
         edges = [weierstrass._edge_integrals(datum, grid, axis) for axis in (0, 1)]
@@ -165,6 +166,15 @@ class TestIntegrateRepresentation:
     def test_polar_grid_rejects_nonpositive_rmin(self):
         with pytest.raises(DomainError):
             DomainGrid.polar(0.0, 1.0, 17, 17)
+
+    def test_surfaces_share_the_read_only_grid_normal(self):
+        grid = DomainGrid.polar(0.5, 1.5, 17, 17)
+        a = integrate_representation(enneper(), grid)
+        b = integrate_representation(catenoid(), grid)
+        assert a.nu is b.nu is grid.normal
+        np.testing.assert_array_equal(a.nu, normal(grid.w))
+        with pytest.raises(ValueError):
+            a.nu[0, 0, 0] = 1.0
 
     def test_invariants_on_catalog(self):
         for datum in (enneper(), catenoid(), catenoid_helicoid(0.9)):
@@ -271,6 +281,18 @@ class TestSpecParsing:
     def test_expression_outside_grammar_rejected(self, expr):
         with pytest.raises(InvalidInputError):
             parse_surface_spec(f"custom:{expr};0")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bour:m=3,m=4", "parameter 'm' is given twice"),
+        ("catenoid:c=1, c=2", "parameter 'c' is given twice"),
+        ("bonnet:theta=0.1,theta=0.2:enneper", "parameter 'theta' is given twice"),
+        ("bour:m", "parameter 'm' needs a number, got ''"),
+        ("bour:m=", "parameter 'm' needs a number, got ''"),
+        ("scherk2:theta=0.5,c=x", "parameter 'c' needs a number, got 'x'"),
+    ])
+    def test_bad_parameter_list_rejected(self, spec, message):
+        with pytest.raises(InvalidInputError, match=message):
+            parse_surface_spec(spec)
 
     def test_expression_grammar_accepts_arithmetic_and_functions(self):
         datum = parse_surface_spec(
