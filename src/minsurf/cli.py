@@ -117,13 +117,10 @@ def cmd_gen(args):
 
 def _family_spec(args):
     kwargs = {"kind": args.family, "t0": float(args.t0), "t1": float(args.t1),
-              "frames": int(args.frames)}
+              "frames": int(args.frames), "theta_max": float(args.theta_max),
+              "c": float(args.c)}
     if args.family in ("bonnet", "general"):
         kwargs["base"] = parse_surface_spec(args.base)
-    if args.family == "bonnet":
-        kwargs["theta_max"] = float(args.theta_max)
-    if args.family == "catenoid-helicoid":
-        kwargs["c"] = float(args.c)
     if args.family == "general":
         from .weierstrass import compile_expression
 

@@ -55,6 +55,9 @@ class FamilySpec:
             raise InvalidInputError("a family needs at least 2 frames")
         if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 > self.t0):
             raise InvalidInputError("parameter range must be finite with t1 > t0")
+        for name in ("theta_max", "c"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"family parameter {name} must be finite")
         if self.kind in ("bonnet", "general") and self.base is None:
             object.__setattr__(self, "base", enneper())
         if self.kind == "general" and self.harmonic_pair is None:

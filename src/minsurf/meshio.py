@@ -70,7 +70,7 @@ def surface_channels(surface: WeierstrassSurface) -> dict:
                          2.0 * np.arctan(content.d), np.nan)
     return {
         "normal": surface.nu.reshape(-1, 3),
-        "gauss_curvature": surface.curvature.K.ravel(),
+        "gauss_curvature": surface.K.ravel(),
         "stretch": surface.conformal_factor.ravel(),
         "drill": drill.ravel(),
         "bending_norm": np.linalg.norm(content.b, axis=-1).ravel(),

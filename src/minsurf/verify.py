@@ -244,11 +244,12 @@ def check_minimality(cache):
     for label, datum in catalog():
         surf = cache.surface(label, datum, "wedge", FINE)
         curv = shape_operator(surf.patch(fd_order=4))
+        closed = surf.curvature
         mask = surf.grid.interior(collar=5)
-        rel = (np.abs(curv.H) / surf.curvature.kappa1)[mask].max()
+        rel = (np.abs(curv.H) / closed.kappa1)[mask].max()
         worst = max(worst, rel)
         sub.add(f"fd_H_rel[{label}]", rel, 1e-5)
-        tr = np.abs(np.trace(surf.curvature.shape_operator, axis1=-2, axis2=-1)).max()
+        tr = np.abs(np.trace(closed.shape_operator, axis1=-2, axis2=-1)).max()
         sub.add(f"closed_form_trace[{label}]", tr, 1e-12)
     return sub.result("04-minimality", "five catalog surfaces",
                       f"{FINE}x{FINE} wedge", worst, 1e-5)
@@ -263,7 +264,8 @@ def check_gauss_curvature(cache):
             surf = cache.surface(label, datum, "wedge", n)
             curv = shape_operator(surf.patch())
             mask = surf.grid.interior(collar=2)
-            rel = (np.abs(curv.K - surf.curvature.K) / np.abs(surf.curvature.K))[mask]
+            k = surf.K
+            rel = (np.abs(curv.K - k) / np.abs(k))[mask]
             errs.append(float(rel.max()))
         worst = max(worst, errs[1])
         sub.add(f"fd_K_rel[{label}]", errs[1], 1e-4)
@@ -274,7 +276,7 @@ def check_gauss_curvature(cache):
     i0, j0 = surf.grid.anchor
     assert abs(surf.grid.w[i0, j0] - 0.5) < 1e-12
     sub.add("point_value_closed_form",
-            abs(surf.curvature.K[i0, j0] + 6.5536), 1e-6)
+            abs(surf.K[i0, j0] + 6.5536), 1e-6)
     curv = shape_operator(surf.patch())
     sub.add("point_value_fd_cross_check",
             abs(curv.K[i0, j0] + 6.5536) / 6.5536, 1e-4)
@@ -437,10 +439,10 @@ def check_bonnet_isometry(cache):
     spec = FamilySpec("catenoid-helicoid", frames=30)
     frames = family_frames(spec, cache.grid("main", COARSE))
     base = frames[0].surface
-    base_norm = np.linalg.norm(base.r_u, axis=-1)
+    base_norm = np.linalg.norm(base.metric_vectors()[0], axis=-1)
     worst_iso = worst_mu = 0.0
     for frame in frames[1:]:
-        norm = np.linalg.norm(frame.surface.r_u, axis=-1)
+        norm = np.linalg.norm(frame.surface.metric_vectors()[0], axis=-1)
         worst_iso = max(worst_iso, float(np.abs(norm - base_norm).max()))
         d = deformation_between(base, frame.surface)
         worst_mu = max(worst_mu, float(np.abs(d.mu - 1.0).max()))

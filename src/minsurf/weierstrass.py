@@ -3,9 +3,10 @@
 The immersion is recovered from three contour integrals of F over a planar
 domain; the parameter w = u + iv is the stereographic projection of the
 unit normal, so every datum on the same domain produces a surface with the
-same system of normals.  Closed forms for the metric vectors, normal and
-curvature tensor are provided as analytic ground truth, with an
-independent Gauss-Legendre quadrature path for the immersion itself.
+same system of normals.  Closed forms for the metric vectors, normal,
+Gauss curvature and curvature tensor are the analytic ground truth, each
+computed by the call that reads it; a surface keeps only its samples.
+An independent Gauss-Legendre quadrature path builds non-power immersions.
 
 Branch convention: non-integer powers and logarithms are taken with the
 angular coordinate supplied by the grid, cut at phi = +/-pi.
@@ -43,6 +44,9 @@ class DomainGrid:
 
     @classmethod
     def polar(cls, rmin, rmax, n_rho, n_phi, phi_min=-np.pi, phi_max=np.pi):
+        for name, value in (("rmax", rmax), ("rmin", rmin)):
+            if not np.isfinite(value):
+                raise InvalidInputError(f"polar grid requires a finite {name}, got {value}")
         if rmin <= 0.0:
             raise DomainError("polar grid requires rmin > 0 (w = 0 is a chart singularity)")
         if rmax <= rmin:
@@ -123,19 +127,13 @@ class HolomorphicDatum:
     power: Optional[tuple] = None
 
     def sample(self, grid: DomainGrid):
-        u, v, rho, phi = grid.coords
-        phi_val, chi_val = self.values_at(u, v, rho, phi)
-        return np.asarray(phi_val, dtype=float), np.asarray(chi_val, dtype=float)
+        return self.values_at(*grid.coords)
 
     def values_at(self, u, v, rho, phi):
         shape = np.shape(u)
         p = np.broadcast_to(np.asarray(self.phi_fn(u, v, rho, phi), dtype=float), shape)
         c = np.broadcast_to(np.asarray(self.chi_fn(u, v, rho, phi), dtype=float), shape)
         return p, c
-
-    def f_complex(self, u, v, rho, phi):
-        p, c = self.values_at(u, v, rho, phi)
-        return np.exp(p + 1j * c)
 
     def shifted(self, dphi, dchi, label=None):
         """Datum with (Phi + dphi, chi + dchi); loses the power fast path."""
@@ -203,8 +201,7 @@ def bonnet_transform(base: HolomorphicDatum, theta):
     label = f"bonnet:theta={theta:g}:{base.label}"
     if base.power is not None:
         c, k = base.power
-        out = from_power(c * np.exp(1j * theta), k, label)
-        return out
+        return from_power(c * np.exp(1j * theta), k, label)
     chi0 = base.chi_fn
     return HolomorphicDatum(label, base.phi_fn,
                             lambda u, v, r, p: chi0(u, v, r, p) + theta)
@@ -337,6 +334,9 @@ def _parse_kv(text, defaults):
             except ValueError:
                 raise InvalidInputError(
                     f"parameter {key!r} needs a number, got {val!r}") from None
+            if not np.isfinite(out[key]):
+                raise InvalidInputError(
+                    f"parameter {key!r} must be finite, got {out[key]}")
     return out
 
 
@@ -444,11 +444,14 @@ def metric_vectors(datum: HolomorphicDatum, w):
     return _metric_vectors_from(p, c, u, v)
 
 
-def _normal_partials(chi_val, e_u, e_v, u, v):
-    """Closed-form (nu_u, nu_v), expanded in the surface frame."""
-    fac = (2.0 / (u * u + v * v + 1.0))[..., None]
-    cc, sc = np.cos(chi_val)[..., None], np.sin(chi_val)[..., None]
-    return fac * (cc * e_u - sc * e_v), -fac * (sc * e_u + cc * e_v)
+def _kappa_closed_form(datum: HolomorphicDatum, w):
+    """(u, v, rho^2, Phi, chi, kappa): the datum sampled at (|w|, arg w) and
+    kappa = 4 / (e^Phi (rho^2 + 1)^2), for curvature_closed_form and K."""
+    w = np.asarray(w, dtype=complex)
+    u, v = w.real, w.imag
+    rho2 = u * u + v * v
+    p, c = datum.values_at(u, v, np.sqrt(rho2), np.angle(w))
+    return u, v, rho2, p, c, 4.0 / (np.exp(p) * (rho2 + 1.0) ** 2)
 
 
 def curvature_closed_form(datum: HolomorphicDatum, w) -> CurvatureData:
@@ -458,22 +461,17 @@ def curvature_closed_form(datum: HolomorphicDatum, w) -> CurvatureData:
     and the full tensor is kappa (n1 x n1 - n2 x n2), the dyadic expansion
     of kappa R_nu(-chi)(e_u x e_u - e_v x e_v).
     """
-    w = np.asarray(w, dtype=complex)
-    u, v = w.real, w.imag
-    rho2 = u * u + v * v
-    p, c = datum.values_at(u, v, np.sqrt(rho2), np.angle(w))
+    u, v, rho2, p, c, kappa = _kappa_closed_form(datum, w)
     r_u, r_v = _metric_vectors_from(p, c, u, v)
     m = (0.5 * np.exp(p) * (rho2 + 1.0))[..., None]
     e_u, e_v = r_u / m, r_v / m
 
-    kappa = 4.0 / (np.exp(p) * (rho2 + 1.0) ** 2)
     half = 0.5 * c
     n1 = np.cos(half)[..., None] * e_u - np.sin(half)[..., None] * e_v
     n2 = np.sin(half)[..., None] * e_u + np.cos(half)[..., None] * e_v
     sop = kappa[..., None, None] * (
         n1[..., :, None] * n1[..., None, :] - n2[..., :, None] * n2[..., None, :])
-    zeros = np.zeros_like(kappa)
-    return CurvatureData(sop, kappa, -kappa, n1, n2, zeros, -kappa**2,
+    return CurvatureData(sop, kappa, -kappa, n1, n2, np.zeros_like(kappa), -kappa**2,
                          np.zeros(np.shape(kappa), dtype=bool))
 
 
@@ -522,7 +520,8 @@ def _edge_integrals(datum, grid, axis):
         dw = np.exp(1j * phi) if axis == 0 else 1j * rho * np.exp(1j * phi)
         u, v = rho * np.cos(phi), rho * np.sin(phi)
         w = u + 1j * v
-        f = datum.f_complex(u, v, rho, phi)
+        p, c = datum.values_at(u, v, rho, phi)
+        f = np.exp(p + 1j * c)
         g = np.stack([0.5 * (1.0 - w * w) * f, 0.5j * (1.0 + w * w) * f, w * f],
                      axis=-1)
         weighted = np.einsum("q,feqk->fek", GAUSS_WEIGHTS,
@@ -557,41 +556,60 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid):
 
 
 class WeierstrassSurface:
-    """Sampled minimal immersion together with its closed-form fields."""
+    """Sampled minimal immersion: ``datum``, ``grid``, ``r``, ``Phi``, ``chi``
+    and the grid's normal ``nu``; every other field is computed on read."""
 
     def __init__(self, datum, grid, r):
         self.datum = datum
         self.grid = grid
         self.r = np.asarray(r, dtype=float)
-        u, v, rho, _ = grid.coords
         self.Phi, self.chi = datum.sample(grid)
         if not np.all(np.isfinite(self.Phi)):
             raise DomainError("Phi is not finite on the domain (F = 0 or singular)")
-        self.r_u, self.r_v = _metric_vectors_from(self.Phi, self.chi, u, v)
-        self.conformal_factor = 0.5 * np.exp(self.Phi) * (rho**2 + 1.0)
         self.nu = grid.normal
 
-    @cached_property
-    def frames(self) -> FrameField:
-        m = self.conformal_factor[..., None]
-        return FrameField(self.r_u / m, self.r_v / m, self.nu)
+    def metric_vectors(self):
+        """Closed-form (r_u, r_v) from the sampled Phi and chi."""
+        u, v, _, _ = self.grid.coords
+        return _metric_vectors_from(self.Phi, self.chi, u, v)
 
-    @cached_property
+    @property
+    def conformal_factor(self):
+        """|r_u| = |r_v| = e^Phi (rho^2 + 1) / 2."""
+        _, _, rho, _ = self.grid.coords
+        return 0.5 * np.exp(self.Phi) * (rho**2 + 1.0)
+
+    @property
+    def frames(self) -> FrameField:
+        r_u, r_v = self.metric_vectors()
+        m = self.conformal_factor[..., None]
+        return FrameField(r_u / m, r_v / m, self.nu)
+
+    @property
     def curvature(self) -> CurvatureData:
         return curvature_closed_form(self.datum, self.grid.w)
 
-    @cached_property
+    @property
+    def K(self):
+        """Gauss curvature -kappa^2, without the principal frame or tensor."""
+        return -_kappa_closed_form(self.datum, self.grid.w)[-1] ** 2
+
+    @property
     def normal_partials(self):
+        """Closed-form (nu_u, nu_v), expanded in the surface frame."""
         fr = self.frames
         u, v, _, _ = self.grid.coords
-        return _normal_partials(self.chi, fr.e_u, fr.e_v, u, v)
+        fac = (2.0 / (u * u + v * v + 1.0))[..., None]
+        cc, sc = np.cos(self.chi)[..., None], np.sin(self.chi)[..., None]
+        return fac * (cc * fr.e_u - sc * fr.e_v), -fac * (sc * fr.e_u + cc * fr.e_v)
 
     def isothermal_residuals(self):
         """Relative residuals of |r_u| = |r_v| and r_u . r_v = 0."""
+        r_u, r_v = self.metric_vectors()
         m = self.conformal_factor
-        nu_ = np.linalg.norm(self.r_u, axis=-1)
-        nv_ = np.linalg.norm(self.r_v, axis=-1)
-        dot = np.einsum("ijk,ijk->ij", self.r_u, self.r_v)
+        nu_ = np.linalg.norm(r_u, axis=-1)
+        nv_ = np.linalg.norm(r_v, axis=-1)
+        dot = np.einsum("ijk,ijk->ij", r_u, r_v)
         return (float(np.abs(nu_ - nv_).max() / m.max()),
                 float(np.abs(dot).max() / (m**2).max()))
 
@@ -602,29 +620,9 @@ class WeierstrassSurface:
         scale = np.abs(self.conformal_factor[mask]).max()
         return float(np.abs(lap[mask]).max() / scale)
 
-    def patch(self, fd_order=2, analytic="none") -> SurfacePatch:
-        """SurfacePatch view; ``analytic`` in {"none", "full"}.
-
-        "none" leaves every derivative to finite differences of r; "full"
-        supplies the closed-form chart tangents, normal and normal
-        derivatives, leaving nothing to finite differences but field-level
-        operations.
-        """
-        if analytic == "none":
-            return SurfacePatch(self.grid.s, self.grid.t, self.r, fd_order=fd_order)
-        if analytic != "full":
-            raise InvalidInputError("analytic must be 'none' or 'full'")
-        r_s, r_t = self._to_chart(self.r_u, self.r_v)
-        nu_u, nu_v = self.normal_partials
-        nu_s, nu_t = self._to_chart(nu_u, nu_v)
-        return SurfacePatch(self.grid.s, self.grid.t, self.r, r_s=r_s, r_t=r_t,
-                            nu=self.nu, nu_s=nu_s, nu_t=nu_t, fd_order=fd_order)
-
-    def _to_chart(self, f_u, f_v):
-        _, _, rho, phi = self.grid.coords
-        c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
-        rr = rho[..., None]
-        return c * f_u + s * f_v, -rr * s * f_u + rr * c * f_v
+    def patch(self, fd_order=2) -> SurfacePatch:
+        """SurfacePatch view: every derivative by finite differences of r."""
+        return SurfacePatch(self.grid.s, self.grid.t, self.r, fd_order=fd_order)
 
     @property
     def rim_scale(self):

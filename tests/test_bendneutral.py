@@ -212,7 +212,7 @@ class TestConnectorOracle:
 
     def test_antisymmetry_tightens_at_order_4(self):
         s = surf(catenoid(), DomainGrid.polar(0.5, 1.5, 129, 129))
-        conn = connector(s.patch(fd_order=4, analytic="full"), s.curvature)
+        conn = connector(s.patch(fd_order=4), s.curvature)
         assert conn.antisymmetry_residual < 1e-7
 
 

@@ -185,6 +185,19 @@ class TestGen:
         assert main(argv + ["--ply", str(tmp_path / "b.ply")]) == 0
         assert read_bytes(tmp_path / "a.ply") == read_bytes(tmp_path / "b.ply")
 
+    def test_ply_builds_no_curvature_tensor(self, tmp_path, monkeypatch):
+        # the PLY reads only K, which needs neither the principal frame nor
+        # the tensor of curvature_closed_form
+        def unread(*args, **kwargs):
+            raise AssertionError("curvature tensor computed for a PLY")
+
+        argv = ["gen", "--surface", "custom:ln(rho)+u;phi+v", "--grid", "12x12",
+                "--rmin", "0.2", "--out", str(tmp_path / "s.obj")]
+        assert main(argv + ["--ply", str(tmp_path / "a.ply")]) == 0
+        monkeypatch.setattr("minsurf.weierstrass.curvature_closed_form", unread)
+        assert main(argv + ["--ply", str(tmp_path / "b.ply")]) == 0
+        assert read_bytes(tmp_path / "a.ply") == read_bytes(tmp_path / "b.ply")
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": "enneper", "grid": "8x8",
@@ -315,6 +328,7 @@ class TestAnimate:
 
         monkeypatch.setattr("minsurf.meshio.bending_drilling_field", unread)
         monkeypatch.setattr("minsurf.weierstrass.curvature_closed_form", unread)
+        monkeypatch.setattr("minsurf.weierstrass._kappa_closed_form", unread)
         outdir = tmp_path / "frames"
         assert main(["animate", "--family", "bour-t", "--frames", "3",
                      "--grid", "10x10", "--rmin", "0.2",
@@ -446,3 +460,33 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not report_path.exists()
+
+
+# a non-finite parameter is refused where it is parsed, with one line that
+# names it: no numpy warning before it, no "singular immersion" after it
+NON_FINITE_CASES = [
+    (["gen", "--surface", "bour:m=nan"], "parameter 'm' must be finite, got nan"),
+    (["gen", "--surface", "bour:m=inf"], "parameter 'm' must be finite, got inf"),
+    (["gen", "--surface", "catenoid:c=inf"], "parameter 'c' must be finite, got inf"),
+    (["gen", "--surface", "helicoid:c=-inf"], "parameter 'c' must be finite, got -inf"),
+    (["gen", "--surface", "catenoid:c=nan"], "parameter 'c' must be finite, got nan"),
+    (["gen", "--surface", "enneper", "--rmax", "nan"],
+     "polar grid requires a finite rmax, got nan"),
+    (["gen", "--surface", "enneper", "--rmin", "0.1", "--rmax", "inf"],
+     "polar grid requires a finite rmax, got inf"),
+    (["animate", "--family", "bonnet", "--theta-max", "inf"],
+     "family parameter theta_max must be finite"),
+    (["animate", "--family", "catenoid-helicoid", "--c", "nan"],
+     "family parameter c must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, line", [pytest.param(args, line, id=" ".join(args))
+                                        for args, line in NON_FINITE_CASES])
+def test_non_finite_parameter_is_one_error_line(args, line, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "x.obj")] if args[0] == "gen" else [
+        "--outdir", str(tmp_path / "frames"), "--frames", "2"]
+    assert main(args + ["--grid", "9x9"] + out) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -94,8 +94,8 @@ class TestScherkMidpoint:
     def test_isometric_to_catenoid(self):
         s_cat = integrate_representation(catenoid(), GRID)
         s_sch = integrate_representation(scherk_midpoint(np.pi / 4), GRID)
-        a = np.linalg.norm(s_cat.r_u, axis=-1)
-        b = np.linalg.norm(s_sch.r_u, axis=-1)
+        a = np.linalg.norm(s_cat.metric_vectors()[0], axis=-1)
+        b = np.linalg.norm(s_sch.metric_vectors()[0], axis=-1)
         assert np.abs(a - b).max() < 1e-10
 
     def test_minimal(self):
@@ -139,8 +139,8 @@ class TestFamilyFrames:
         for frame in frames[1:]:
             d = deformation_between(base, frame.surface)
             np.testing.assert_allclose(d.mu, 1.0, atol=1e-15)
-            a = np.linalg.norm(base.r_u, axis=-1)
-            b = np.linalg.norm(frame.surface.r_u, axis=-1)
+            a = np.linalg.norm(base.metric_vectors()[0], axis=-1)
+            b = np.linalg.norm(frame.surface.metric_vectors()[0], axis=-1)
             assert np.abs(a - b).max() < 1e-10
 
     def test_threaded_build_matches_serial(self):

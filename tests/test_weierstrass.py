@@ -74,7 +74,9 @@ class TestMetricVectors:
     def test_fd_cross_check(self):
         surf = integrate_representation(enneper(), GRID)
         patch = surf.patch()
-        r_s_cf, _ = surf._to_chart(surf.r_u, surf.r_v)
+        r_u, r_v = surf.metric_vectors()
+        _, _, _, phi = GRID.coords
+        r_s_cf = np.cos(phi)[..., None] * r_u + np.sin(phi)[..., None] * r_v
         mask = GRID.interior()
         err = np.abs(patch.r_s - r_s_cf)[mask].max()
         assert err < 5e-4
@@ -175,6 +177,20 @@ class TestIntegrateRepresentation:
         np.testing.assert_array_equal(a.nu, normal(grid.w))
         with pytest.raises(ValueError):
             a.nu[0, 0, 0] = 1.0
+
+    def test_reading_closed_forms_keeps_only_samples(self):
+        surf = integrate_representation(bour(3.0), GRID)
+        stored = dict(vars(surf))
+        assert set(stored) == {"datum", "grid", "r", "Phi", "chi", "nu"}
+        for method in ("metric_vectors", "isothermal_residuals",
+                       "harmonicity_residual", "patch"):
+            getattr(surf, method)()
+        for name in ("conformal_factor", "frames", "curvature", "K", "normal_partials"):
+            getattr(surf, name)
+        assert vars(surf).keys() == stored.keys()
+        assert all(vars(surf)[key] is value for key, value in stored.items())
+        # K comes from the closed form's own sampling and formula, bit for bit
+        assert np.array_equal(surf.K, surf.curvature.K)
 
     def test_invariants_on_catalog(self):
         for datum in (enneper(), catenoid(), catenoid_helicoid(0.9)):
