@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 verification check failure, 2 invalid input,
 3 I/O failure.  MINSURF_THREADS caps the parallelism used for frame
 generation; outputs are bit-identical for any setting.
 
-Options may also be supplied through a JSON file (``--config``); explicit
-flags win over file values.
+Options may also be supplied through a JSON file (``--config``); a flag
+given on the command line wins over the file, whatever its value.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def _config_value(action, key, value):
     return value
 
 
-def _merge_config(args, parser):
-    """Overlay config-file values under explicit command-line flags."""
+def _merge_config(args, parser, argv):
+    """Overlay config-file values under the flags given in ``argv``."""
     if not getattr(args, "config", None):
         return args
     try:
@@ -84,11 +84,13 @@ def _merge_config(args, parser):
         raise InvalidInputError("config file must hold a JSON object")
     actions = {action.dest: action for action in parser._actions
                if action.dest not in ("help", "func", "subparser")}
+    # a reparse over None placeholders: no flag given, even abbreviated, parses to None
+    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(actions)))
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in actions:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if getattr(args, dest) == actions[dest].default:
+        if getattr(given, dest) is None:
             setattr(args, dest, _config_value(actions[dest], key, value))
     return args
 
@@ -243,10 +245,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     try:
-        args = _merge_config(args, args.subparser)
+        args = _merge_config(args, args.subparser, argv[1:])
         if args.command == "gen" and not args.surface:
             raise InvalidInputError("gen needs --surface (or a config file entry)")
         if args.command == "animate" and not args.family:

@@ -24,48 +24,36 @@ def spacing(x):
     return float(h[0])
 
 
-def _moved(f, axis):
+def _moved(f, axis, order):
+    """``f`` with ``axis`` first, once ``order`` is known to be 2 or 4."""
+    if order not in (2, 4):
+        raise InvalidInputError("order must be 2 or 4")
     return np.moveaxis(np.asarray(f, dtype=float), axis, 0)
 
 
 def d1(f, h, axis=0, order=2):
     """First derivative along ``axis`` with uniform spacing ``h``."""
-    g = _moved(f, axis)
+    g = _moved(f, axis, order)
     out = np.empty_like(g)
-    if order == 2:
-        out[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-        out[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    elif order == 4:
+    out[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
+    out[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
+    if order == 4:  # order-2 rows stay in the boundary collar
         out[2:-2] = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * h)
-        # order-2 fallback in the boundary collar
-        out[1] = (g[2] - g[0]) / (2.0 * h)
-        out[-2] = (g[-1] - g[-3]) / (2.0 * h)
-        out[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-        out[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    else:
-        raise InvalidInputError("order must be 2 or 4")
     return np.moveaxis(out, 0, axis)
 
 
 def d2(f, h, axis=0, order=2):
     """Second derivative along ``axis`` with uniform spacing ``h``."""
-    g = _moved(f, axis)
+    g = _moved(f, axis, order)
     out = np.empty_like(g)
     h2 = h * h
-    if order == 2:
-        out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h2
-        out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / h2
-        out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / h2
-    elif order == 4:
+    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h2
+    out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / h2
+    out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / h2
+    if order == 4:  # order-2 rows stay in the boundary collar
         out[2:-2] = (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2]
                      + 16.0 * g[1:-3] - g[:-4]) / (12.0 * h2)
-        out[1] = (g[2] - 2.0 * g[1] + g[0]) / h2
-        out[-2] = (g[-1] - 2.0 * g[-2] + g[-3]) / h2
-        out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / h2
-        out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / h2
-    else:
-        raise InvalidInputError("order must be 2 or 4")
     return np.moveaxis(out, 0, axis)
 
 

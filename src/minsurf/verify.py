@@ -12,22 +12,23 @@ Each check pins its own grids, stencil orders and tolerances:
   finite-difference layer (5 for order-4 two-layer chains), keeping
   interior accuracy claims free of one-sided-stencil pollution.
 
-Everything is seeded and single-threaded, so repeated runs (and runs under
-any MINSURF_THREADS value) produce bit-identical reports; timings (the
-process's CPU time in checks 01 and 02, so the verdicts do not depend on
-machine load) are therefore never written into the report, only compared
-against their bounds.
+Everything is seeded and, but for check 12's in-process ``animate`` runs at
+MINSURF_THREADS 1, 2 and 8, single-threaded, so repeated runs under any
+MINSURF_THREADS value produce bit-identical reports; timings (CPU time in
+checks 01 and 02, so the verdicts do not depend on machine load) are never
+written into the report, only compared against their bounds.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .bendneutral import (
     pure_bending_measure,
     pure_bending_measure_fd,
 )
-from .families import FamilySpec, family_frames
+from .families import FamilySpec, family_frames, family_member
 from .rotations import (
     RodriguesVector,
     axis_distance_profile,
@@ -140,6 +141,17 @@ class _Sub:
         return CheckResult(
             check_id, subject, grid, float(primary), float(tolerance),
             all(item["passed"] for item in self.items.values()), self.items)
+
+
+class _Range:
+    """Running elementwise min and max of finite arrays: ``hi - lo`` is the
+    largest pairwise |f_a - f_b| per element with the same bits (rounded
+    subtraction is monotone), held in two arrays however many are added."""
+    lo = hi = None
+
+    def add(self, f):
+        self.lo = f if self.lo is None else np.minimum(self.lo, f)
+        self.hi = f if self.hi is None else np.maximum(self.hi, f)
 
 
 class _SurfaceCache:
@@ -292,16 +304,17 @@ def check_universal_bending(cache):
     b_reference = e_phi / rho[..., None]
     a_reference = pure_bending_closed_form(grid)
 
-    b_fields, a_fields = {}, {}
+    b_range, a_range = _Range(), _Range()
     for label, datum in catalog():
         surf = cache.surface(label, datum, "main", FINE)
         content = bending_drilling_field(surf)
-        b_fields[label] = content.b
-        a_fields[label] = pure_bending_measure(surf)
+        a_field = pure_bending_measure(surf)
+        b_range.add(content.b)
+        a_range.add(a_field)
         sub.add(f"b_formula[{label}]",
                 np.abs(content.b - b_reference).max(), 1e-9)
         sub.add(f"A_formula[{label}]",
-                np.abs(a_fields[label] - a_reference).max(), 1e-9)
+                np.abs(a_field - a_reference).max(), 1e-9)
         valid, res_b, res_d = bending_cross_check(surf, content)
         if valid.any():
             sub.add(f"b_rodrigues_split[{label}]", res_b, 1e-9)
@@ -310,27 +323,23 @@ def check_universal_bending(cache):
             "value": float(1.0 - valid.mean()), "tolerance": None,
             "passed": True}
 
-    labels = list(b_fields)
-    worst_pair_b = max(np.abs(b_fields[a] - b_fields[b]).max()
-                       for i, a in enumerate(labels) for b in labels[i + 1:])
-    worst_pair_a = max(np.abs(a_fields[a] - a_fields[b]).max()
-                       for i, a in enumerate(labels) for b in labels[i + 1:])
+    worst_pair_b = (b_range.hi - b_range.lo).max()
+    worst_pair_a = (a_range.hi - a_range.lo).max()
     sub.add("b_pairwise_closed_form", worst_pair_b, 1e-9)
     sub.add("A_pairwise_closed_form", worst_pair_a, 1e-9)
 
     # independent finite-difference path on the fine wedge
-    fd_fields = {}
+    fd_range = _Range()
     mask = cache.grid("wedge", FINE).interior(collar=5)
     a_ref_wedge = pure_bending_closed_form(cache.grid("wedge", FINE))
     for label, datum in catalog():
         surf = cache.surface(label, datum, "wedge", FINE)
-        fd_fields[label] = pure_bending_measure_fd(surf)
-        err = np.abs(fd_fields[label] - a_ref_wedge)[mask].max()
+        fd_field = pure_bending_measure_fd(surf)
+        fd_range.add(fd_field)
+        err = np.abs(fd_field - a_ref_wedge)[mask].max()
         sub.add(f"A_fd_vs_closed[{label}]", err, 1e-5)
         sub.add(f"normal_fd_consistency[{label}]", normal_fd_residual(surf), 1e-4)
-    worst_pair_fd = max(np.abs(fd_fields[a] - fd_fields[b])[mask].max()
-                        for i, a in enumerate(labels) for b in labels[i + 1:])
-    sub.add("A_pairwise_fd", worst_pair_fd, 1e-5)
+    sub.add("A_pairwise_fd", (fd_range.hi - fd_range.lo)[mask].max(), 1e-5)
     return sub.result("06-universal-bending", "five catalog surfaces",
                       f"{FINE}x{FINE} main + wedge", max(worst_pair_b, worst_pair_a),
                       1e-9)
@@ -351,8 +360,7 @@ def check_bending_neutral_association(cache):
             worst_fine = max(worst_fine, res[1])
             sub.add(f"chain_rule_order2[{pair}]", res[0] / res[1], CONV_BAND,
                     mode="band")
-            sa = cache.surface(label_a, datum_a, "main", FINE)
-            sb = cache.surface(label_b, datum_b, "main", FINE)
+            # sa, sb are the fine surfaces of the last level
             sub.flag(f"normals_exact[{pair}]", np.array_equal(sa.nu, sb.nu))
 
     # spot identities for the classically known pairs
@@ -372,25 +380,28 @@ def check_bending_neutral_association(cache):
                       f"{COARSE}/{FINE} main annulus", worst_fine, 1e-2)
 
 
+def _connector_view(s):
+    patch = s.patch()
+    curv = s.curvature
+    return patch, curv, connector(patch, curv)
+
+
 def check_integrability(cache):
     sub = _Sub()
     # (i) constant mu, alpha on the catenoid: the Bonnet case
     s = cache.surface("catenoid", catenoid(), "main", FINE)
-    patch = s.patch()
-    curv = s.curvature
-    conn = connector(patch, curv)
+    patch, curv, conn = _connector_view(s)
     lam = 1.0 / curv.kappa1
     alpha = np.full(s.grid.shape, 0.3)
     out = integrability_residual_general(patch, curv, conn, lam, alpha)
     res_const = out.max_residual(s.grid.interior(collar=3))
     sub.add("bonnet_constants_on_catenoid", res_const, 1e-6)
 
-    # (ii) harmonic stretch with reconstructed drilling angle
+    # (ii) harmonic stretch with reconstructed drilling angle; (iii) reuses its view
     t = 1.0
     s = cache.surface("enneper", enneper(), "wedge", FINE)
-    patch = s.patch()
-    curv = s.curvature
-    conn = connector(patch, curv)
+    fine = _connector_view(s)
+    patch, curv, conn = fine
     _, _, rho, phi = s.grid.coords
     base = s.grid.anchor
     alpha = alpha_from_phi(patch, t * np.log(rho), alpha0=t * phi[base], base=base)
@@ -403,9 +414,7 @@ def check_integrability(cache):
     controls = []
     for n in (COARSE, FINE):
         s = cache.surface("enneper", enneper(), "wedge", n)
-        patch = s.patch()
-        curv = s.curvature
-        conn = connector(patch, curv)
+        patch, curv, conn = fine if n == FINE else _connector_view(s)
         u, _, _, _ = s.grid.coords
         alpha = alpha_from_phi(patch, u**2, require_harmonic=False)
         out = integrability_residual_general(patch, curv, conn,
@@ -437,15 +446,17 @@ def check_image_minimality(cache):
 
 def check_bonnet_isometry(cache):
     spec = FamilySpec("catenoid-helicoid", frames=30)
-    frames = family_frames(spec, cache.grid("main", COARSE))
-    base = frames[0].surface
+    grid = cache.grid("main", COARSE)
+    base = integrate_representation(family_member(spec, spec.t0), grid)
     base_norm = np.linalg.norm(base.metric_vectors()[0], axis=-1)
-    worst_iso = worst_mu = 0.0
-    for frame in frames[1:]:
+
+    def deviations(frame):  # keeps no surface
         norm = np.linalg.norm(frame.surface.metric_vectors()[0], axis=-1)
-        worst_iso = max(worst_iso, float(np.abs(norm - base_norm).max()))
         d = deformation_between(base, frame.surface)
-        worst_mu = max(worst_mu, float(np.abs(d.mu - 1.0).max()))
+        return np.abs(norm - base_norm).max(), np.abs(d.mu - 1.0).max()
+
+    # the first member is the base itself, whose deviations are 0
+    worst_iso, worst_mu = np.max(family_frames(spec, grid, each=deviations), axis=0)
     sub = _Sub()
     sub.add("per_sample_metric_constant", worst_iso, 1e-10)
     sub.add("mu_identically_1", worst_mu, 1e-14)
@@ -472,24 +483,29 @@ def check_circulation(cache):
                       f"{COARSE}->{FINE}", residuals[1], 1e-3)
 
 
-def _animate_files(outdir, threads):
-    """Name -> bytes of the files one ``animate`` child process writes under
-    MINSURF_THREADS=threads; None if the child fails or writes nothing."""
-    # the child imports this package, however the parent found it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, MINSURF_THREADS=threads, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "minsurf.cli", "animate", "--family", "bour-t",
-         "--frames", "8", "--grid", "17x17", "--rmin", "0.3", "--rmax", "1.0",
-         "--outdir", outdir], env=env, capture_output=True)
-    if proc.returncode != 0 or not os.path.isdir(outdir):
-        return None
-    files = {}
-    for name in sorted(os.listdir(outdir)):
-        with open(os.path.join(outdir, name), "rb") as fh:
-            files[name] = fh.read()
-    return files
+def _animate_runs(tmp):
+    """Per MINSURF_THREADS value 1, 2 and 8, name -> bytes of the files one
+    ``animate`` run of this process writes, or None if the run fails.  The
+    variable is restored afterwards, also when it was unset."""
+    from .cli import main  # cli imports this module
+
+    saved = os.environ.get("MINSURF_THREADS")
+    runs = []
+    try:
+        for threads in ("1", "2", "8"):
+            outdir = Path(tmp, f"frames{threads}")
+            os.environ["MINSURF_THREADS"] = threads
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["animate", "--family", "bour-t", "--frames", "8",
+                             "--grid", "17x17", "--rmin", "0.3", "--rmax", "1.0",
+                             "--outdir", str(outdir)])
+            runs.append(None if code != 0 else
+                        {p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    finally:
+        os.environ.pop("MINSURF_THREADS", None)
+        if saved is not None:
+            os.environ["MINSURF_THREADS"] = saved
+    return runs
 
 
 def check_determinism_io(cache):
@@ -497,15 +513,10 @@ def check_determinism_io(cache):
     surf = integrate_representation(enneper(), DomainGrid.polar(0.3, 1.2, 33, 33))
     mesh = meshio.mesh_from_surface(surf)
     with tempfile.TemporaryDirectory() as tmp:
-        p1 = os.path.join(tmp, "a.obj")
-        p2 = os.path.join(tmp, "b.obj")
+        p1, p2 = Path(tmp, "a.obj"), Path(tmp, "b.obj")
         meshio.write_obj(mesh, p1)
         meshio.write_obj(mesh, p2)
-        with open(p1, "rb") as fh:
-            bytes1 = fh.read()
-        with open(p2, "rb") as fh:
-            bytes2 = fh.read()
-        sub.flag("obj_rewrite_identical", bytes1 == bytes2)
+        sub.flag("obj_rewrite_identical", p1.read_bytes() == p2.read_bytes())
         verts, faces = meshio.parse_obj(p1)
         round_trip = (np.array_equal(verts, mesh.vertices)
                       and np.array_equal(faces, mesh.faces))
@@ -515,8 +526,7 @@ def check_determinism_io(cache):
                 0.0, mode="above")
 
         # animate is the command that reads MINSURF_THREADS
-        runs = [_animate_files(os.path.join(tmp, f"frames{threads}"), threads)
-                for threads in ("1", "2", "8")]
+        runs = _animate_runs(tmp)
         sub.flag("animate_bit_identical_across_threads",
                  runs[0] is not None and "manifest.json" in runs[0]
                  and all(run == runs[0] for run in runs))

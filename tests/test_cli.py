@@ -1,14 +1,19 @@
 """End-to-end tests for the command-line interface and mesh output."""
 
 import json
+import os
+import re
 import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minsurf import meshio
 from minsurf.cli import main
+from minsurf.errors import InvalidInputError
 from minsurf.weierstrass import DomainGrid, enneper, integrate_representation
 
 
@@ -207,6 +212,24 @@ class TestGen:
                      "--out", str(out)]) == 0
         verts, _ = meshio.parse_obj(out)
         assert len(verts) == 144  # flag overrode the config grid
+
+    @pytest.mark.parametrize("config, flags, same_as", [
+        ({"grid": "8x8", "rmax": 1.0}, ["--grid", "64x64"],
+         ["--grid", "64x64", "--rmax", "1.0"]),
+        ({"grid": "8x8", "rmax": 2.0}, ["--rmax", "1.5"],
+         ["--grid", "8x8", "--rmax", "1.5"]),
+        ({"grid": "8x8", "rmax": 1.0}, ["--gr", "64x64"],
+         ["--grid", "64x64", "--rmax", "1.0"]),
+    ], ids=["grid", "rmax", "abbreviated"])
+    def test_flag_given_with_its_default_overrides_config(self, tmp_path, config,
+                                                          flags, same_as):
+        # a flag counts as given whatever its value, also when abbreviated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": "enneper", **config}))
+        a, b = tmp_path / "a.obj", tmp_path / "b.obj"
+        assert main(["gen", "--config", str(cfg), *flags, "--out", str(a)]) == 0
+        assert main(["gen", "--surface", "enneper", *same_as, "--out", str(b)]) == 0
+        assert read_bytes(a) == read_bytes(b)
 
     @pytest.mark.parametrize("command, config", [
         ("gen", {"surface": "enneper", "grid": 64}),
@@ -421,13 +444,13 @@ class TestVerifyCommand:
                          "--out", str(path)]) == 0
         assert read_bytes(a) == read_bytes(b)
 
-    def test_failed_child_fails_determinism_check(self, tmp_path, monkeypatch):
-        # a child process that fails and writes nothing fails its sub-check;
-        # the suite still writes its report
-        def failed(argv, **kwargs):
-            return subprocess.CompletedProcess(argv, 1)
+    def test_failed_animate_run_fails_determinism_check(self, tmp_path, monkeypatch):
+        # an animate run that fails fails its sub-check; the suite still
+        # writes its report
+        def failed(*args, **kwargs):
+            raise InvalidInputError("no frames")
 
-        monkeypatch.setattr("minsurf.verify.subprocess.run", failed)
+        monkeypatch.setattr("minsurf.cli.family_frames", failed)
         report_path = tmp_path / "report.json"
         assert main(["verify", "--check", "12-determinism-io",
                      "--out", str(report_path)]) == 1
@@ -435,6 +458,29 @@ class TestVerifyCommand:
         failed_items = [name for name, item in record["details"].items()
                         if not item["passed"]]
         assert failed_items == ["animate_bit_identical_across_threads"]
+
+    @pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "3"])
+    def test_determinism_check_runs_animate_in_process(self, threads, tmp_path,
+                                                       monkeypatch, capsys):
+        # check 12 starts no process, prints none of animate's output and
+        # leaves MINSURF_THREADS as it found it
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        if threads is None:
+            monkeypatch.delenv("MINSURF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MINSURF_THREADS", threads)
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--check", "12-determinism-io",
+                     "--out", str(report_path)]) == 0
+        assert os.environ.get("MINSURF_THREADS") == threads
+        pass_line, summary = capsys.readouterr().out.splitlines()
+        assert pass_line == ("PASS 12-determinism-io: max residual 0.000e+00 "
+                             "(tolerance 0.000e+00, grid -)")
+        assert re.fullmatch(r"1/1 checks passed in \d+\.\ds; report: "
+                            + re.escape(str(report_path)), summary), summary
 
     def test_grid_refinement_selects_convergence_checks(self, tmp_path):
         report_path = tmp_path / "conv.json"
@@ -490,3 +536,16 @@ def test_non_finite_parameter_is_one_error_line(args, line, tmp_path, capsys):
     assert main(args + ["--grid", "9x9"] + out) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_no_process_or_test_machinery():
+    # every command imports verify, so whatever it imports adds to each
+    # command's start-up; unittest.mock alone would bring in asyncio
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, minsurf.cli; print(*sorted({'subprocess', 'unittest',"
+            " 'asyncio'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
