@@ -150,7 +150,7 @@ def cmd_animate(args):
         mesh = meshio.mesh_from_surface(frame.surface)
         meshio.write_obj(mesh, os.path.join(args.outdir, name))
         return {"index": frame.index, "t": frame.t,
-                "scale": frame.scale, "file": name}
+                "scale": frame.surface.rim_scale, "file": name}
 
     # each frame is meshed and written by the worker that built it
     records = family_frames(spec, grid, threads=_threads(), each=write)

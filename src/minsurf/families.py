@@ -92,10 +92,6 @@ class FamilyFrame:
     t: float
     surface: WeierstrassSurface
 
-    @property
-    def scale(self):
-        return self.surface.rim_scale
-
 
 def validate_family(spec: FamilySpec, grid: DomainGrid):
     """Check that the general transformation pair is a conjugate harmonic

@@ -5,7 +5,8 @@ A patch is a map r(s, t) on a rectangular grid in chart coordinates
 of r and of the fields living on it.  Derivatives default to centered
 finite differences; analytic arrays for r_s, r_t and the normal (with its
 chart derivatives) can be supplied to get exact-arithmetic paths for
-oracle comparisons.
+oracle comparisons.  Potentials are summed from per-edge increments by
+one row-first path rule (:func:`path_integrate`).
 
 Conventions: nu = r_s x r_t / |r_s x r_t|; the curvature tensor is the
 tangential derivative of nu (so the unit sphere parameterized outward has
@@ -327,40 +328,36 @@ def circulation_check(patch: SurfacePatch, h, loop):
 # -- path integration ---------------------------------------------------------
 
 
-def _line_sums(steps, k0, axis):
-    """Sums of the ``steps`` along ``axis`` from node ``k0``, exactly 0 there."""
-    steps = np.moveaxis(steps, axis, 0)
+def _line_sums(steps, k0):
+    """Sums of the ``steps`` along axis 0 from node ``k0``, exactly 0 there."""
     out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:], dtype=steps.dtype)
     out[k0 + 1:] = np.cumsum(steps[k0:], axis=0)
     out[:k0] = -np.cumsum(steps[:k0][::-1], axis=0)[::-1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
-def path_integrate(edges_s, edges_t, base, column_first=False):
+def path_integrate(edges_s, edges_t, base):
     """Sum per-edge increments along grid lines from the ``base`` node.
 
     ``edges_s`` (ns-1, nt, ...) holds the increments from node (i, j) to
-    (i+1, j) and ``edges_t`` (ns, nt-1, ...) those from (i, j) to (i, j+1);
-    the trailing shape and dtype are free.  Paths follow the base row and
-    then the columns (the base column and then the rows when
-    ``column_first``).  The result is exactly 0 at ``base``.
+    (i+1, j) and ``edges_t`` (nt-1, ...) those from (i0, j) to (i0, j+1)
+    on the base row i0, the only t-edges that paths along the base row and
+    then the columns walk; the trailing shape and dtype are free.  Column
+    first is this call on the transposed grid.  The result is 0 at ``base``.
     """
     i0, j0 = base
-    if column_first:
-        return _line_sums(edges_t, j0, 1) + _line_sums(edges_s[:, j0], i0, 0)[:, None]
-    return _line_sums(edges_s, i0, 0) + _line_sums(edges_t[i0], j0, 0)[None]
+    return _line_sums(edges_s, i0) + _line_sums(edges_t, j0)[None]
 
 
-def integrate_tangential_field(patch: SurfacePatch, h, base=(0, 0), value0=0.0,
-                               column_first=False):
+def integrate_tangential_field(patch: SurfacePatch, h, base=(0, 0), value0=0.0):
     """Path-integrate a tangential field into a potential on the grid.
 
-    Each edge adds the trapezoid increment 1/2 (h_a + h_b) . (r_b - r_a);
-    the paths are those of :func:`path_integrate`.  For curl-free fields
-    the result is path independent up to O(h^2).
+    Each edge of a :func:`path_integrate` path (t-edges on the base row
+    only) adds the trapezoid increment 1/2 (h_a + h_b) . (r_b - r_a).  For
+    curl-free fields the result is path independent up to O(h^2).
     """
     h = np.asarray(h, dtype=float)
-    r = patch.r
-    steps_s = np.einsum("ijk,ijk->ij", 0.5 * (h[1:] + h[:-1]), np.diff(r, axis=0))
-    steps_t = np.einsum("ijk,ijk->ij", 0.5 * (h[:, 1:] + h[:, :-1]), np.diff(r, axis=1))
-    return path_integrate(steps_s, steps_t, base, column_first) + value0
+    h0, r0 = h[base[0]], patch.r[base[0]]
+    steps_s = np.einsum("ijk,ijk->ij", 0.5 * (h[1:] + h[:-1]), np.diff(patch.r, axis=0))
+    steps_t = np.einsum("jk,jk->j", 0.5 * (h0[1:] + h0[:-1]), np.diff(r0, axis=0))
+    return path_integrate(steps_s, steps_t, base) + value0

@@ -498,7 +498,8 @@ def _catalog_position(power, rho, phi):
 
 def _edge_integrals(datum, grid, axis):
     """16-point Gauss-Legendre integrals of the representation integrands
-    over every grid edge along the given axis.
+    over every grid edge along the given axis (for the immersion, axis 1 on
+    the anchor row's one-row grid: the only t-edges its path reads).
 
     Returns (ns-1, nt, 3) complex for axis 0 and (ns, nt-1, 3) for axis 1.
     The grid lines along ``axis`` are integrated ``EDGE_BLOCK_ROWS`` at a
@@ -535,18 +536,21 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid):
 
     Power data F = c w^k take exact antiderivatives.  Every other datum
     must first pass the holomorphy guard, then is integrated by composite
-    16-point Gauss-Legendre quadrature along grid lines from the anchor.
+    16-point Gauss-Legendre quadrature along row-first paths from the anchor.
     """
     if datum.power is not None:
         _, _, rho, phi = grid.coords
-        r = _catalog_position(datum.power, rho, phi)
-        r = r - r[grid.anchor]
+        # finite data whose powers overflow are rejected below, not warned about
+        with np.errstate(all="ignore"):
+            r = _catalog_position(datum.power, rho, phi)
+            r = r - r[grid.anchor]
     else:
         require_holomorphic(datum, grid,
                             f"datum {datum.label!r} fails the holomorphy check")
+        i0 = grid.anchor[0]
         edges_s = _edge_integrals(datum, grid, axis=0)
-        edges_t = _edge_integrals(datum, grid, axis=1)
-        r = path_integrate(edges_s, edges_t, grid.anchor).real
+        edges_t = _edge_integrals(datum, DomainGrid(grid.s[i0:i0 + 1], grid.t), axis=1)
+        r = path_integrate(edges_s, edges_t[0], grid.anchor).real
     if not np.all(np.isfinite(r)):
         raise DomainError(f"immersion for {datum.label} is singular on the domain")
     return WeierstrassSurface(datum, grid, r)
@@ -628,4 +632,8 @@ class WeierstrassSurface:
     def rim_scale(self):
         """|r| at the outer-rim node nearest phi = 0 (gallery scaling factor)."""
         j = int(np.argmin(np.abs(self.grid.t)))
-        return float(np.linalg.norm(self.r[-1, j]))
+        with np.errstate(over="ignore"):
+            scale = float(np.linalg.norm(self.r[-1, j]))
+        if not np.isfinite(scale):
+            raise DomainError(f"rim scale of {self.datum.label} overflows float64")
+        return scale

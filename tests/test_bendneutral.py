@@ -117,7 +117,7 @@ class TestAlphaFromPhi:
                                alpha0=t * phi[base])
         assert np.abs(alpha - t * phi).max() < 1e-2
 
-    def test_path_independence(self):
+    def test_path_independence(self, column_first):
         from minsurf.surfcalc import integrate_tangential_field
 
         s = surf(enneper(), DomainGrid.polar(0.5, 1.5, 129, 129))
@@ -125,7 +125,7 @@ class TestAlphaFromPhi:
         _, _, rho, _ = s.grid.coords
         h = np.cross(patch.nu, surface_gradient(patch, 0.5 * np.log(rho)))
         row = integrate_tangential_field(patch, h, base=(64, 64))
-        col = integrate_tangential_field(patch, h, base=(64, 64), column_first=True)
+        col = column_first.potential(patch, h, (64, 64))
         assert np.abs(row - col).max() < 5e-3
 
     def test_non_harmonic_rejected(self):

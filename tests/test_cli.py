@@ -538,6 +538,29 @@ def test_non_finite_parameter_is_one_error_line(args, line, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# finite data whose powers or rim scale overflow float64: one error line, no
+# numpy warning before it and no traceback under warnings-as-errors
+OVERFLOW_CASES = [
+    (["gen", "--surface", "bour:m=1e308"],
+     "immersion for bour:m=1e+308 is singular on the domain"),
+    (["gen", "--surface", "enneper", "--rmax", "1e300"],
+     "immersion for enneper is singular on the domain"),
+    (["animate", "--family", "catenoid-helicoid", "--c", "1e300", "--frames", "3"],
+     "rim scale of catenoid-helicoid:theta=0 overflows float64"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, line", [pytest.param(args, line, id=" ".join(args))
+                                        for args, line in OVERFLOW_CASES])
+def test_overflowing_data_is_one_error_line(args, line, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "x.obj")] if args[0] == "gen" else [
+        "--outdir", str(tmp_path / "frames")]
+    assert main(args + ["--grid", "9x9"] + out) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.rglob("manifest.json")) and not list(tmp_path.glob("x.*"))
+
+
 def test_importing_the_cli_loads_no_process_or_test_machinery():
     # every command imports verify, so whatever it imports adds to each
     # command's start-up; unittest.mock alone would bring in asyncio

@@ -111,7 +111,7 @@ class TestFamilyFrames:
         assert [f.index for f in frames] == list(range(5))
         np.testing.assert_allclose([f.t for f in frames],
                                    [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
-        assert all(f.scale > 0.0 for f in frames)
+        assert all(f.surface.rim_scale > 0.0 for f in frames)
         assert all(isinstance(f, FamilyFrame) for f in frames)
 
     def test_every_frame_is_minimal_and_isothermal(self):

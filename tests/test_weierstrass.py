@@ -137,14 +137,14 @@ class TestIntegrateRepresentation:
 
     @pytest.mark.parametrize("datum", [enneper(), bour(3.0), catenoid(),
                                        helicoid()])
-    def test_quadrature_matches_catalog(self, datum):
+    def test_quadrature_matches_catalog(self, datum, column_first):
         grid = DomainGrid.polar(0.5, 1.5, 33, 33)
         cat = integrate_representation(datum, grid)
         quad = integrate_representation(replace(datum, power=None), grid)
         assert np.abs(cat.r - quad.r).max() < 1e-10
         # row-first (quad.r) against column-first over the same edge integrals
         edges = [weierstrass._edge_integrals(datum, grid, axis) for axis in (0, 1)]
-        alt = path_integrate(*edges, grid.anchor, column_first=True).real
+        alt = column_first.sums(*edges, grid.anchor).real
         assert np.abs(quad.r - alt).max() < 1e-9
 
     def test_catenoid_is_surface_of_revolution(self):
@@ -340,34 +340,72 @@ class TestBourReflectionSymmetry:
         assert np.abs(r_neg - reflected - shift).max() < 1e-8
 
 
+EDGE_PASS_DATUM = custom("ln(rho)+u+0.1", "phi+v-0.3")
+EDGE_PASS_GRIDS = pytest.mark.parametrize("grid", [
+    DomainGrid.polar(0.3, 1.4, 97, 61),
+    DomainGrid.polar(0.2, 1.3, 53, 88, phi_min=-0.7, phi_max=0.6),
+], ids=["polar-97x61", "sector-53x88"])
+
+
 class TestBlockedEdgePass:
     """The quadrature edge pass gives the same bits for any block size."""
 
-    DATUM = custom("ln(rho)+u+0.1", "phi+v-0.3")
-
-    @pytest.mark.parametrize("grid", [
-        DomainGrid.polar(0.3, 1.4, 97, 61),
-        DomainGrid.polar(0.2, 1.3, 53, 88, phi_min=-0.7, phi_max=0.6),
-    ], ids=["polar-97x61", "sector-53x88"])
+    @EDGE_PASS_GRIDS
     @pytest.mark.parametrize("rows", [1, 200])
     def test_bit_identical_to_default_block(self, grid, rows, monkeypatch):
-        default = integrate_representation(self.DATUM, grid)
-        edges = [weierstrass._edge_integrals(self.DATUM, grid, axis)
+        default = integrate_representation(EDGE_PASS_DATUM, grid)
+        edges = [weierstrass._edge_integrals(EDGE_PASS_DATUM, grid, axis)
                  for axis in (0, 1)]
         monkeypatch.setattr(weierstrass, "EDGE_BLOCK_ROWS", rows)
-        blocked = integrate_representation(self.DATUM, grid)
+        blocked = integrate_representation(EDGE_PASS_DATUM, grid)
         assert np.array_equal(blocked.r, default.r)
         for axis in (0, 1):
             assert np.array_equal(
-                weierstrass._edge_integrals(self.DATUM, grid, axis), edges[axis])
+                weierstrass._edge_integrals(EDGE_PASS_DATUM, grid, axis), edges[axis])
 
     def test_peak_memory_bounded(self):
         grid = DomainGrid.polar(0.075, 1.5, 256, 256)
         tracemalloc.start()
         try:
-            integrate_representation(self.DATUM, grid)
+            integrate_representation(EDGE_PASS_DATUM, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestAnchorRowPass:
+    """The axis-1 edge pass runs on the anchor row only, the one row that
+    the row-first path reads."""
+
+    @EDGE_PASS_GRIDS
+    def test_axis1_pass_samples_only_the_anchor_row(self, grid, monkeypatch):
+        ns, nt = grid.shape
+        points, passes = [0], []
+        values_at = HolomorphicDatum.values_at
+        edge_integrals = weierstrass._edge_integrals
+
+        def counted_values_at(datum, u, *rest):
+            points[0] += np.size(u)
+            return values_at(datum, u, *rest)
+
+        def counted_pass(datum, pass_grid, axis):
+            before = points[0]
+            out = edge_integrals(datum, pass_grid, axis)
+            passes.append((axis, points[0] - before))
+            return out
+
+        monkeypatch.setattr(HolomorphicDatum, "values_at", counted_values_at)
+        monkeypatch.setattr(weierstrass, "_edge_integrals", counted_pass)
+        integrate_representation(EDGE_PASS_DATUM, grid)
+        assert passes == [(0, (ns - 1) * nt * 16), (1, (nt - 1) * 16)]
+
+    @EDGE_PASS_GRIDS
+    def test_same_bits_as_the_full_grid_pass(self, grid):
+        i0 = grid.anchor[0]
+        assert 0 < i0 < grid.shape[0] - 1
+        edges_s, edges_t = [weierstrass._edge_integrals(EDGE_PASS_DATUM, grid, axis)
+                            for axis in (0, 1)]
+        full = path_integrate(edges_s, edges_t[i0], grid.anchor).real
+        assert np.array_equal(integrate_representation(EDGE_PASS_DATUM, grid).r, full)
 
