@@ -2,8 +2,10 @@
 verification suite.
 
 Exit codes: 0 success, 1 verification check failure, 2 invalid input,
-3 I/O failure.  MINSURF_THREADS caps the parallelism used for frame
-generation; outputs are bit-identical for any setting.
+3 I/O failure.  MINSURF_THREADS (a positive integer; by default the CPUs
+this process may run on) sets the frame threads of ``animate`` and the
+forked workers of ``gen``; outputs are bit-identical for any setting.
+``verify`` reads it only through the ``animate`` runs of check 12.
 
 Options may also be supplied through a JSON file (``--config``); a flag
 given on the command line wins over the file, whatever its value.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -42,11 +45,18 @@ def _parse_grid(text):
 
 
 def _threads():
-    raw = os.environ.get("MINSURF_THREADS", "1")
+    raw = os.environ.get("MINSURF_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        raise InvalidInputError(f"MINSURF_THREADS must be an integer, got {raw!r}")
+        threads = 0  # refused below with the values under 1
+    if threads < 1:
+        raise InvalidInputError(f"MINSURF_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _config_value(action, key, value):
@@ -105,13 +115,21 @@ def _build_grid(args):
 
 
 def cmd_gen(args):
+    # gen runs no thread of its own, so it may fork its workers
+    workers = _threads()
     datum = parse_surface_spec(args.surface)
     grid = _build_grid(args)
-    surface = integrate_representation(datum, grid)
+    surface = integrate_representation(datum, grid, workers)
     mesh = meshio.mesh_from_surface(surface)
-    meshio.write_obj(mesh, args.out)
+    # a writer that fails removes its own file; the OBJ goes if the PLY fails
+    meshio.write_obj(mesh, args.out, workers)
     if args.ply:
-        meshio.write_ply(mesh, args.ply, meshio.surface_channels(surface))
+        try:
+            meshio.write_ply(mesh, args.ply, meshio.surface_channels(surface), workers)
+        except BaseException:
+            if os.path.exists(args.out):  # --ply may name the OBJ itself
+                os.remove(args.out)
+            raise
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, "
           f"{len(mesh.faces)} faces ({datum.label})")
     return EXIT_OK
@@ -138,35 +156,42 @@ def _family_spec(args):
     return FamilySpec(**kwargs)
 
 
+# the files of one animate run in its --outdir
+RUN_FILE = re.compile(r"frame_\d{4,}\.obj|manifest\.json")
+
+
+def _clear_run(outdir):
+    """Remove every frame and the manifest of an earlier or a failed run."""
+    for name in os.listdir(outdir):
+        if RUN_FILE.fullmatch(name):
+            os.remove(os.path.join(outdir, name))
+
+
 def cmd_animate(args):
     spec = _family_spec(args)
     grid = _build_grid(args)
+    threads = _threads()
 
     start = time.perf_counter()
     os.makedirs(args.outdir, exist_ok=True)
     manifest_path = os.path.join(args.outdir, "manifest.json")
-    # a manifest left by an earlier run must not describe this run's frames
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
-    written = []
+    # no frame or manifest of an earlier run may sit beside this run's
+    _clear_run(args.outdir)
 
     def write(frame):
         name = f"frame_{frame.index:04d}.obj"
         path = os.path.join(args.outdir, name)
-        written.append(path)
         mesh = meshio.mesh_from_surface(frame.surface)
         meshio.write_obj(mesh, path)
         return {"index": frame.index, "t": frame.t,
                 "scale": frame.surface.rim_scale, "file": name}
 
-    # each frame is meshed and written by the worker that built it; on a
-    # failure the pool has joined its workers, so no frame is still being written
+    # each frame is meshed and written by the thread that built it; on a
+    # failure the pool has joined its threads, so no frame is still being written
     try:
-        records = family_frames(spec, grid, threads=_threads(), each=write)
+        records = family_frames(spec, grid, threads=threads, each=write)
     except BaseException:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
+        _clear_run(args.outdir)
         raise
     manifest = {
         "family": spec.kind,

@@ -13,11 +13,13 @@ without any stitched faces across the cut.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bendneutral import bending_drilling_field
+from .blocks import ordered_map
 from .errors import InvalidInputError
 from .weierstrass import WeierstrassSurface
 
@@ -90,26 +92,44 @@ def face_normal_alignment(mesh: MeshArtifact, normals) -> float:
     return float(np.einsum("ij,ij->i", n, nu_face).min())
 
 
-def _write_rows(fh, row_fmt, *columns):
+def _write_rows(fh, row_fmt, columns, workers):
     """Write row i of the side-by-side ``columns`` as ``row_fmt % tuple(row)``.
 
     Each column is (N,) or (N, k); blocks of several columns are joined
-    one block at a time, a lone table is formatted in place.  ``"%.17g" %
-    x`` spells a float exactly as ``f"{x:.17g}"`` does, and ``"%d" % i``
-    an integer as ``str(i)``.
+    one block at a time, a lone table is formatted in place, and the blocks
+    are formatted by ``workers`` processes.  ``b"%.17g" % x`` spells a float
+    exactly as ``f"{x:.17g}"`` does, and ``b"%d" % i`` an integer as
+    ``str(i)``.
     """
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        block = [col[start:start + BLOCK_ROWS] for col in columns]
-        block = block[0] if len(block) == 1 else np.column_stack(block)
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    def block(start):
+        rows = [col[start:start + BLOCK_ROWS] for col in columns]
+        rows = rows[0] if len(rows) == 1 else np.column_stack(rows)
+        return (row_fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+    # writelines drops each block once written, before the next is formatted
+    fh.writelines(ordered_map(block, range(0, len(columns[0]), BLOCK_ROWS), workers))
 
 
-def write_obj(mesh: MeshArtifact, path):
-    with open(path, "w") as fh:
-        fh.write(f"# minsurf mesh: {len(mesh.vertices)} vertices, "
-                 f"{len(mesh.faces)} faces\n")
-        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
-        _write_rows(fh, "f %d %d %d %d\n", mesh.faces + 1)
+def _write_file(path, header, tables, workers):
+    """Write ``header``, then each ``(row_fmt, columns)`` table; a file
+    that fails half written is removed."""
+    with open(path, "wb") as fh:
+        try:
+            fh.write(header.encode())
+            for row_fmt, columns in tables:
+                _write_rows(fh, row_fmt, columns, workers)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
+def write_obj(mesh: MeshArtifact, path, workers=1):
+    """OBJ of the mesh; the same bytes for any number of ``workers``."""
+    _write_file(path, f"# minsurf mesh: {len(mesh.vertices)} vertices, "
+                      f"{len(mesh.faces)} faces\n",
+                [(b"v %.17g %.17g %.17g\n", [mesh.vertices]),
+                 (b"f %d %d %d %d\n", [mesh.faces + 1])], workers)
 
 
 def parse_obj(path):
@@ -127,11 +147,12 @@ def parse_obj(path):
     return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
 
 
-def write_ply(mesh: MeshArtifact, path, channels):
+def write_ply(mesh: MeshArtifact, path, channels, workers=1):
     """ASCII PLY with per-vertex ``channels`` as vertex properties.
 
     ``channels`` maps ``normal`` to (N, 3) normals, written as nx ny nz,
     and further names to (N,) scalars; :func:`surface_channels` builds it.
+    The bytes are the same for any number of ``workers``.
     """
     scalar_names = [k for k, a in channels.items() if a.ndim == 1]
     names = ["x", "y", "z", "nx", "ny", "nz"] + scalar_names
@@ -140,8 +161,6 @@ def write_ply(mesh: MeshArtifact, path, channels):
     header += [f"property double {name}" for name in names]
     header += [f"element face {len(mesh.faces)}",
                "property list uchar int vertex_indices", "end_header"]
-
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        _write_rows(fh, " ".join(["%.17g"] * len(names)) + "\n", *cols)
-        _write_rows(fh, "4 %d %d %d %d\n", mesh.faces)
+    _write_file(path, "\n".join(header) + "\n",
+                [(b" ".join([b"%.17g"] * len(names)) + b"\n", cols),
+                 (b"4 %d %d %d %d\n", [mesh.faces])], workers)

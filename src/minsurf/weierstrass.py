@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
+from .blocks import ordered_map
 from .errors import DomainError, InvalidInputError
 from .surfcalc import CurvatureData, FrameField, SurfacePatch, path_integrate
 
@@ -496,7 +497,7 @@ def _catalog_position(power, rho, phi):
     return np.stack([i1.real, i2.real, a_k1.real], axis=-1)
 
 
-def _edge_integrals(datum, grid, axis):
+def _edge_integrals(datum, grid, axis, workers=1):
     """16-point Gauss-Legendre integrals of the representation integrands
     over every grid edge along the given axis (for the immersion, axis 1 on
     the anchor row's one-row grid: the only t-edges its path reads).
@@ -504,16 +505,17 @@ def _edge_integrals(datum, grid, axis):
     Returns (ns-1, nt, 3) complex for axis 0 and (ns, nt-1, 3) for axis 1.
     The grid lines along ``axis`` are integrated ``EDGE_BLOCK_ROWS`` at a
     time into one preallocated array, so the (lines, edges, 16, 3) complex
-    temporaries stay a few MB whatever the grid size; every value goes
-    through the same operations in the same order for any block size.
+    temporaries stay a few MB whatever the grid size; the blocks are shared
+    among ``workers`` processes.  Every value goes through the same
+    operations in the same order for any block size and worker count.
     """
     moving = grid.s if axis == 0 else grid.t
     fixed = grid.t if axis == 0 else grid.s
     a, b = moving[:-1], moving[1:]
     half = 0.5 * (b - a)
     sigma = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES  # (ne, 16)
-    out = np.empty((fixed.size, a.size, 3), dtype=complex)           # (nf, ne, 3)
-    for start in range(0, fixed.size, EDGE_BLOCK_ROWS):
+
+    def block(start):
         rows = fixed[start:start + EDGE_BLOCK_ROWS]
         sig = sigma[None, :, :] + 0.0 * rows[:, None, None]          # (nb, ne, 16)
         fix = rows[:, None, None] + 0.0 * sigma[None, :, :]
@@ -527,16 +529,24 @@ def _edge_integrals(datum, grid, axis):
                      axis=-1)
         weighted = np.einsum("q,feqk->fek", GAUSS_WEIGHTS,
                              g * (dw * np.ones_like(w))[..., None])
-        out[start:start + rows.size] = weighted * half[None, :, None]
+        return (weighted * half[None, :, None]).tobytes()
+
+    out = np.empty((fixed.size, a.size, 3), dtype=complex)           # (nf, ne, 3)
+    starts = range(0, fixed.size, EDGE_BLOCK_ROWS)
+    for start, data in zip(starts, ordered_map(block, starts, workers)):
+        out[start:start + EDGE_BLOCK_ROWS] = np.frombuffer(data, complex).reshape(
+            -1, a.size, 3)
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 
-def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid):
+def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid, workers=1):
     """Build the immersion on the grid; returns a :class:`WeierstrassSurface`.
 
     Power data F = c w^k take exact antiderivatives.  Every other datum
     must first pass the holomorphy guard, then is integrated by composite
-    16-point Gauss-Legendre quadrature along row-first paths from the anchor.
+    16-point Gauss-Legendre quadrature along row-first paths from the anchor,
+    its edge pass shared among ``workers`` forked processes (the same bits
+    for any count; see :func:`minsurf.blocks.ordered_map`).
     """
     if datum.power is not None:
         _, _, rho, phi = grid.coords
@@ -548,7 +558,7 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid):
         require_holomorphic(datum, grid,
                             f"datum {datum.label!r} fails the holomorphy check")
         i0 = grid.anchor[0]
-        edges_s = _edge_integrals(datum, grid, axis=0)
+        edges_s = _edge_integrals(datum, grid, axis=0, workers=workers)
         edges_t = _edge_integrals(datum, DomainGrid(grid.s[i0:i0 + 1], grid.t), axis=1)
         r = path_integrate(edges_s, edges_t[0], grid.anchor).real
     if not np.all(np.isfinite(r)):

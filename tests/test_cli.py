@@ -160,6 +160,59 @@ class TestGen:
         assert np.array_equal(verts, mesh.vertices)
         assert np.array_equal(faces, mesh.faces)
 
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        # 96 x 96 rows are two write blocks; the quadrature pass has twelve
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MINSURF_THREADS", threads)
+            obj, ply = tmp_path / f"{threads}.obj", tmp_path / f"{threads}.ply"
+            assert main(["gen", "--surface", "custom:ln(rho)+u+0.1;phi+v-0.3",
+                         "--grid", "96x96", "--rmin", "0.3", "--rmax", "1.4",
+                         "--out", str(obj), "--ply", str(ply)]) == 0
+            outputs.append((read_bytes(obj), read_bytes(ply), len(forks)))
+        assert outputs[0][2] == 0 and outputs[1][2] == 5  # one pass, four tables
+        assert outputs[0][:2] == outputs[1][:2]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    # the first table of the OBJ, or of the PLY after a finished OBJ
+    @pytest.mark.parametrize("failing", [1, 3], ids=["obj", "ply"])
+    def test_failed_write_leaves_no_file_and_no_worker(self, failing, tmp_path,
+                                                       capsys, monkeypatch):
+        from minsurf.blocks import ordered_map
+
+        parent, calls = os.getpid(), []
+
+        def failing_in_worker(fn, items, workers):
+            calls.append(None)
+            fails = len(calls) == failing
+
+            def format_block(item):
+                if fails and os.getpid() != parent:
+                    raise RuntimeError("formatter failed in a worker")
+                return fn(item)
+
+            return ordered_map(format_block, items, workers)
+
+        monkeypatch.setattr(meshio, "ordered_map", failing_in_worker)
+        monkeypatch.setattr(meshio, "BLOCK_ROWS", 64)
+        monkeypatch.setenv("MINSURF_THREADS", "2")
+        code = main(["gen", "--surface", "enneper", "--grid", "17x17",
+                     "--out", str(tmp_path / "s.obj"), "--ply", str(tmp_path / "s.ply")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "i/o error: worker 1 failed: RuntimeError: formatter failed in a worker\n")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_repeated_runs_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
         args = ["gen", "--surface", "helicoid", "--grid", "16x16",
@@ -285,17 +338,22 @@ class TestMeshArtifact:
         np.testing.assert_allclose(channels["bending_norm"],
                                    1.0 / surface.grid.coords[2].ravel())
 
+    # three write blocks: serial, one block per process, more workers than blocks
     def test_obj_bytes_match_reference(self, tmp_path):
         mesh, _ = awkward_mesh()
-        path = tmp_path / "awkward.obj"
-        meshio.write_obj(mesh, path)
-        assert_text_equal(path, reference_obj(mesh))
+        expected = reference_obj(mesh)
+        for workers in (1, 2, 3, 8):
+            path = tmp_path / f"awkward{workers}.obj"
+            meshio.write_obj(mesh, path, workers)
+            assert_text_equal(path, expected)
 
     def test_ply_bytes_match_reference(self, tmp_path):
         mesh, channels = awkward_mesh()
-        path = tmp_path / "awkward.ply"
-        meshio.write_ply(mesh, path, channels)
-        assert_text_equal(path, reference_ply(mesh, channels))
+        expected = reference_ply(mesh, channels)
+        for workers in (1, 2, 3, 8):
+            path = tmp_path / f"awkward{workers}.ply"
+            meshio.write_ply(mesh, path, channels, workers)
+            assert_text_equal(path, expected)
 
 
 class TestAnimate:
@@ -410,7 +468,13 @@ class TestAnimate:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.rglob("*.obj"))
 
-    def test_general_family_runs(self, tmp_path):
+    def test_general_family_runs(self, tmp_path, monkeypatch):
+        # the frame threads never fork, whatever MINSURF_THREADS says
+        def no_fork():
+            raise AssertionError("animate forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setenv("MINSURF_THREADS", "2")
         outdir = tmp_path / "gen_frames"
         code = main(["animate", "--family", "general",
                      "--harmonic-pair", "0.3*ln(rho);0.3*phi",
@@ -581,12 +645,36 @@ def test_failed_animate_over_a_finished_run_leaves_no_manifest(threads, tmp_path
     assert not (tmp_path / "frame_0000.obj").exists()
 
 
+def test_smaller_run_leaves_only_its_own_frames(tmp_path):
+    argv = ["animate", "--family", "bour-t", "--grid", "9x9", "--outdir", str(tmp_path)]
+    assert main(argv + ["--frames", "5"]) == 0
+    assert main(argv + ["--frames", "3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "frame_0000.obj", "frame_0001.obj", "frame_0002.obj", "manifest.json"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--surface", "enneper", "--out"],
+    ["animate", "--family", "bour-t", "--frames", "2", "--outdir"]],
+    ids=["gen", "animate"])
+def test_thread_count_below_one_rejected(command, threads, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.setenv("MINSURF_THREADS", threads)
+    assert main(command + [str(tmp_path / "out"), "--grid", "9x9"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: MINSURF_THREADS must be a positive integer, got '{threads}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_importing_the_cli_loads_no_process_or_test_machinery():
     # every command imports verify, so whatever it imports adds to each
-    # command's start-up; unittest.mock alone would bring in asyncio
+    # command's start-up; unittest.mock alone would bring in asyncio, and
+    # gen forks its workers itself, without multiprocessing
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, minsurf.cli; print(*sorted({'subprocess', 'unittest',"
-            " 'asyncio'} & set(sys.modules)))")
+            " 'asyncio', 'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))

@@ -363,6 +363,16 @@ class TestBlockedEdgePass:
             assert np.array_equal(
                 weierstrass._edge_integrals(EDGE_PASS_DATUM, grid, axis), edges[axis])
 
+    # 61 and 88 grid lines are 8 and 11 blocks, or one block of 200
+    @EDGE_PASS_GRIDS
+    @pytest.mark.parametrize("rows", [weierstrass.EDGE_BLOCK_ROWS, 200])
+    def test_bit_identical_across_workers(self, grid, rows, monkeypatch):
+        monkeypatch.setattr(weierstrass, "EDGE_BLOCK_ROWS", rows)
+        serial = integrate_representation(EDGE_PASS_DATUM, grid)
+        for workers in (2, 3):
+            forked = integrate_representation(EDGE_PASS_DATUM, grid, workers=workers)
+            assert np.array_equal(forked.r, serial.r)
+
     def test_peak_memory_bounded(self):
         grid = DomainGrid.polar(0.075, 1.5, 256, 256)
         tracemalloc.start()
@@ -389,9 +399,9 @@ class TestAnchorRowPass:
             points[0] += np.size(u)
             return values_at(datum, u, *rest)
 
-        def counted_pass(datum, pass_grid, axis):
+        def counted_pass(datum, pass_grid, axis, **workers):
             before = points[0]
-            out = edge_integrals(datum, pass_grid, axis)
+            out = edge_integrals(datum, pass_grid, axis, **workers)
             passes.append((axis, points[0] - before))
             return out
 
