@@ -1,17 +1,20 @@
 """Ordered block map over forked worker processes.
 
-:func:`ordered_map` is the one place where minsurf forks.  A worker is a
-copy of the calling process, so it reads the arrays the caller holds
-without pickling them, and it sends back only the ``bytes`` of each result.
-Forking is safe only from a process that runs a single thread, so only
-single-threaded commands pass ``workers > 1``.
+:func:`ordered_map` is the one place where minsurf runs anything in
+parallel.  A worker is a copy of the calling process, so it reads the
+arrays the caller holds without pickling them, and it sends back only the
+``bytes`` of each result.  Forking is safe only from a process that runs a
+single Python thread; no minsurf command starts a thread of its own.
 """
 
 from __future__ import annotations
 
 import os
 
+from .errors import InvalidInputError
+
 _HEAD = 8  # bytes of the signed length before each record on a pipe
+_INVALID = b"!"  # leads a failure note that is an InvalidInputError's message
 
 
 def ordered_map(fn, items, workers):
@@ -20,10 +23,11 @@ def ordered_map(fn, items, workers):
     Worker k >= 1 is forked, computes ``items[k::workers]`` and streams each
     result (``bytes``) on its own pipe; the caller computes
     ``items[0::workers]`` itself.  Runs serially when ``workers`` is 1, when
-    there are fewer than 2 items, or without ``os.fork``.  Raises
-    :class:`OSError`, naming the worker, when a worker fails, exits
-    non-zero or ends its pipe short.  Every worker is reaped, also when the
-    caller stops early or raises.
+    there are fewer than 2 items, or without ``os.fork``.  A worker's
+    :class:`InvalidInputError` is raised again in the caller, with its
+    message; any other failure, a non-zero exit or a pipe that ends short
+    raises :class:`OSError`, naming the worker.  Every worker is reaped,
+    also when the caller stops early or raises.
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -66,9 +70,12 @@ def _work(fn, items, fd):
                     data = fn(item)
                     pipe.write(len(data).to_bytes(_HEAD, "little", signed=True))
                     pipe.write(data)
+                    pipe.flush()  # the caller may be waiting for this record
                 code = 0
             except Exception as exc:
-                note = f"{type(exc).__name__}: {exc}".encode()
+                note = (_INVALID + str(exc).encode()
+                        if isinstance(exc, InvalidInputError)
+                        else f"{type(exc).__name__}: {exc}".encode())
                 pipe.write((-len(note)).to_bytes(_HEAD, "little", signed=True))
                 pipe.write(note)
     finally:
@@ -84,5 +91,7 @@ def _receive(pipe, k):
         if len(data) == abs(size):
             if size >= 0:
                 return data
+            if data.startswith(_INVALID):
+                raise InvalidInputError(data[len(_INVALID):].decode(errors="replace"))
             raise OSError(f"worker {k} failed: {data.decode(errors='replace')}")
     raise OSError(f"worker {k} ended its pipe short")

@@ -3,9 +3,9 @@ verification suite.
 
 Exit codes: 0 success, 1 verification check failure, 2 invalid input,
 3 I/O failure.  MINSURF_THREADS (a positive integer; by default the CPUs
-this process may run on) sets the frame threads of ``animate`` and the
-forked workers of ``gen``; outputs are bit-identical for any setting.
-``verify`` reads it only through the ``animate`` runs of check 12.
+this process may run on) sets the forked workers of ``gen`` and
+``animate``; outputs are bit-identical for any setting.  ``verify`` reads
+it only through the ``animate`` runs of check 12.
 
 Options may also be supplied through a JSON file (``--config``); a flag
 given on the command line wins over the file, whatever its value.
@@ -90,6 +90,8 @@ def _merge_config(args, parser, argv):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise InvalidInputError("config file is nested too deeply") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("config file must hold a JSON object")
     actions = {action.dest: action for action in parser._actions
@@ -115,7 +117,6 @@ def _build_grid(args):
 
 
 def cmd_gen(args):
-    # gen runs no thread of its own, so it may fork its workers
     workers = _threads()
     datum = parse_surface_spec(args.surface)
     grid = _build_grid(args)
@@ -170,7 +171,7 @@ def _clear_run(outdir):
 def cmd_animate(args):
     spec = _family_spec(args)
     grid = _build_grid(args)
-    threads = _threads()
+    workers = _threads()
 
     start = time.perf_counter()
     os.makedirs(args.outdir, exist_ok=True)
@@ -183,13 +184,16 @@ def cmd_animate(args):
         path = os.path.join(args.outdir, name)
         mesh = meshio.mesh_from_surface(frame.surface)
         meshio.write_obj(mesh, path)
-        return {"index": frame.index, "t": frame.t,
-                "scale": frame.surface.rim_scale, "file": name}
+        # float repr round-trips through JSON, so the manifest bytes do not
+        # depend on which process wrote the frame
+        return json.dumps({"index": frame.index, "t": frame.t,
+                           "scale": frame.surface.rim_scale, "file": name}).encode()
 
-    # each frame is meshed and written by the thread that built it; on a
-    # failure the pool has joined its threads, so no frame is still being written
+    # each frame is meshed and written by the process that built it; on a
+    # failure every worker has been reaped, so no frame is still being written
     try:
-        records = family_frames(spec, grid, threads=threads, each=write)
+        records = [json.loads(record)
+                   for record in family_frames(spec, grid, write, workers)]
     except BaseException:
         _clear_run(args.outdir)
         raise

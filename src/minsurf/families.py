@@ -8,12 +8,12 @@ between the F = 1 surface and the surfaces of revolution class.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .blocks import ordered_map
 from .errors import InvalidInputError
 from .weierstrass import (
     DomainGrid,
@@ -105,15 +105,15 @@ def validate_family(spec: FamilySpec, grid: DomainGrid):
                         "on the domain")
 
 
-def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):
-    """Build one surface per frame, uniformly spaced in t, on a pool of
-    ``threads`` worker threads.
+def family_frames(spec: FamilySpec, grid: DomainGrid, each=None, workers=1):
+    """Build one surface per frame, uniformly spaced in t, shared among
+    ``workers`` processes (see :func:`minsurf.blocks.ordered_map`).
 
     Returns the :class:`FamilyFrame` list in frame order.  Given ``each``,
-    the worker that builds a frame passes it to ``each`` and keeps only the
+    the process that builds a frame passes it to ``each`` and keeps only the
     result, so the list holds ``each(frame)`` instead and at most one
-    surface per thread is alive at a time.  Every frame shares the grid's
-    normal field.
+    surface per process is alive at a time; with ``workers > 1``, ``each``
+    must return ``bytes``.  Every frame shares the grid's normal field.
     """
     validate_family(spec, grid)
 
@@ -123,5 +123,4 @@ def family_frames(spec: FamilySpec, grid: DomainGrid, threads=1, each=None):
                             integrate_representation(family_member(spec, t), grid))
         return frame if each is None else each(frame)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(build, enumerate(spec.parameter_values())))
+    return list(ordered_map(build, enumerate(spec.parameter_values()), workers))

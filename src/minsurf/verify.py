@@ -12,12 +12,13 @@ Each check pins its own grids, stencil orders and tolerances:
   finite-difference layer (5 for order-4 two-layer chains), keeping
   interior accuracy claims free of one-sided-stencil pollution.
 
-Everything is seeded and, but for check 12's in-process ``animate`` runs at
-MINSURF_THREADS 1, 2 and 8, single-threaded; nothing forks, and the
-variable is read only by those runs, so repeated runs under any
-MINSURF_THREADS value produce bit-identical reports; timings (CPU time in
-checks 01 and 02, so the verdicts do not depend on machine load) are never
-written into the report, only compared against their bounds.
+Everything is seeded, and the checks run one after another in one process.
+Only check 12's in-process ``animate`` runs, at MINSURF_THREADS 1, 2 and 8,
+fork workers, and the variable is read only by those runs, so repeated
+runs under any MINSURF_THREADS value produce bit-identical reports; timings
+(CPU time in checks 01 and 02, so the verdicts do not depend on machine
+load) are never written into the report, only compared against their
+bounds.
 """
 
 from __future__ import annotations
@@ -530,7 +531,8 @@ def check_determinism_io(cache):
                 meshio.face_normal_alignment(mesh, surf.nu.reshape(-1, 3)),
                 0.0, mode="above")
 
-        # MINSURF_THREADS sets the frame threads of animate
+        # MINSURF_THREADS sets the forked frame workers of animate; the
+        # subject below keeps its words so that the report bytes stay the same
         runs = _animate_runs(tmp)
         sub.flag("animate_bit_identical_across_threads",
                  runs[0] is not None and "manifest.json" in runs[0]

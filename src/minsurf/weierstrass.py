@@ -217,24 +217,43 @@ _EXPR_FUNCS = {
 _EXPR_VARS = {"u", "v", "rho", "phi", "pi"}
 _EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
              ast.Pow, ast.UAdd, ast.USub)
+_EXPR_MAX_CHARS = 1000  # keeps ast.parse far from its recursion limit
+_EXPR_MAX_DEPTH = 256   # keeps _checked far from Python's recursion limit
 
 
-def _check_expression(node):
-    """Raise unless ``node`` is built from numbers, the variables, calls of
-    the listed functions with their exact arity, and arithmetic."""
-    if isinstance(node, ast.Expression):
-        return _check_expression(node.body)
+def _depth(tree):
+    """Nesting depth of an AST, found level by level without recursion."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level for child in ast.iter_child_nodes(node)]
+    return depth
+
+
+def _checked(node, constants):
+    """``node`` with each number replaced by a name that ``constants`` binds
+    to it as np.float64, so that constant-only parts such as 1/0 or 10**400
+    follow numpy semantics (a non-finite value, no exception and no huge
+    Python integer).  Raises unless ``node`` is built from numbers, the
+    variables, calls of the listed functions with their exact arity, and
+    arithmetic."""
     if isinstance(node, ast.Constant):
         if type(node.value) not in (int, float):
             raise InvalidInputError(f"expression constant {node.value!r} is not a number")
-    elif isinstance(node, ast.Name):
+        name = f"_c{len(constants)}"
+        try:
+            constants[name] = np.float64(node.value)
+        except OverflowError as exc:
+            raise InvalidInputError(f"expression constant {node.value} is too large") from exc
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
+    if isinstance(node, ast.Name):
         if node.id not in _EXPR_VARS:
             raise InvalidInputError(f"expression uses unknown name {node.id!r}")
     elif isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPS):
-        _check_expression(node.left)
-        _check_expression(node.right)
+        node.left = _checked(node.left, constants)
+        node.right = _checked(node.right, constants)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPS):
-        _check_expression(node.operand)
+        node.operand = _checked(node.operand, constants)
     elif isinstance(node, ast.Call):
         name = getattr(node.func, "id", None)  # only a Name node has an id
         fn = _EXPR_FUNCS.get(name)
@@ -244,41 +263,30 @@ def _check_expression(node):
         # a ufunc's extra positional argument is its output array
         if node.keywords or len(node.args) != fn.nin:
             raise InvalidInputError(f"{name}() takes {fn.nin} positional argument(s)")
-        for arg in node.args:
-            _check_expression(arg)
+        node.args = [_checked(arg, constants) for arg in node.args]
     else:
         raise InvalidInputError(
             f"expression may not contain {type(node).__name__} nodes")
-
-
-class _FloatConstants(ast.NodeTransformer):
-    """Replace each number by a name bound to it as np.float64, so that
-    constant-only parts such as 1/0 or 10**400 follow numpy semantics (a
-    non-finite value, no exception and no huge Python integer)."""
-
-    def __init__(self):
-        self.values = {}
-
-    def visit_Constant(self, node):
-        name = f"_c{len(self.values)}"
-        try:
-            self.values[name] = np.float64(node.value)
-        except OverflowError as exc:
-            raise InvalidInputError(f"expression constant {node.value} is too large") from exc
-        return ast.copy_location(ast.Name(name, ast.Load()), node)
+    return node
 
 
 def compile_expression(expr):
+    if len(expr) > _EXPR_MAX_CHARS:
+        raise InvalidInputError(
+            f"expression is longer than {_EXPR_MAX_CHARS} characters")
     try:
         tree = ast.parse(expr, "<datum-expression>", "eval")
     except SyntaxError as exc:
         raise InvalidInputError(f"expression {expr!r} is not valid: {exc.msg}") from exc
-    _check_expression(tree)
-    constants = _FloatConstants()
-    code = compile(constants.visit(tree), "<datum-expression>", "eval")
+    if _depth(tree) > _EXPR_MAX_DEPTH:
+        raise InvalidInputError(
+            f"expression is nested deeper than {_EXPR_MAX_DEPTH} levels")
+    constants = {}
+    tree.body = _checked(tree.body, constants)
+    code = compile(tree, "<datum-expression>", "eval")
 
     def evaluate(u, v, rho, phi):
-        ns = dict(_EXPR_FUNCS, **constants.values, u=u, v=v, rho=rho, phi=phi)
+        ns = dict(_EXPR_FUNCS, **constants, u=u, v=v, rho=rho, phi=phi)
         return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - checked tree
 
     return evaluate

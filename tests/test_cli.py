@@ -79,6 +79,17 @@ def awkward_mesh():
     return meshio.MeshArtifact(vertices, faces), channels
 
 
+def terms(n, term="u"):
+    return "+".join([term] * n)
+
+
+# expressions too long or too deep for a recursive pass: each is refused
+# before one runs, not ended by a RecursionError
+LONG_EXPRESSIONS = [
+    pytest.param(f"{terms(n)};0", id=f"{n}-terms") for n in (500, 1000, 3000)
+] + [pytest.param("-" * 500 + "u;0", id="500-leading-minus")]
+
+
 class TestGen:
     def test_writes_expected_vertex_count(self, tmp_path):
         out = tmp_path / "enneper.obj"
@@ -128,7 +139,7 @@ class TestGen:
     @pytest.mark.parametrize("expr", [
         "1/0;0", "1%0;0", "0**-1;0", "10**400;0", "2.0**10000;0", "10**10**10;0",
         pytest.param("1" + "0" * 400 + ";0", id="400-digit-literal"),
-    ])
+    ] + LONG_EXPRESSIONS)
     def test_non_finite_expression_is_invalid_input(self, expr, tmp_path, capsys):
         code = main(["gen", "--surface", f"custom:{expr}", "--grid", "9x9",
                      "--out", str(tmp_path / "x.obj")])
@@ -417,7 +428,7 @@ class TestAnimate:
         assert sorted(p.name for p in outdir.glob("*.obj")) == [
             "frame_0000.obj", "frame_0001.obj", "frame_0002.obj"]
 
-    def test_live_surfaces_bounded_by_threads(self, tmp_path, monkeypatch):
+    def test_one_live_surface_in_the_caller(self, tmp_path, monkeypatch):
         from minsurf import families
 
         build = families.integrate_representation
@@ -434,8 +445,9 @@ class TestAnimate:
         assert main(["animate", "--family", "bour-t", "--frames", "12",
                      "--grid", "24x24", "--rmin", "0.2",
                      "--outdir", str(tmp_path / "frames")]) == 0
-        assert len(peak) == 12
-        assert max(peak) <= 2 + 1
+        # the caller builds every second frame; the worker builds the rest
+        assert len(peak) == 6
+        assert max(peak) == 1
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -469,11 +481,14 @@ class TestAnimate:
         assert not list(tmp_path.rglob("*.obj"))
 
     def test_general_family_runs(self, tmp_path, monkeypatch):
-        # the frame threads never fork, whatever MINSURF_THREADS says
-        def no_fork():
-            raise AssertionError("animate forked")
+        # the harmonic pair reaches the forked worker without pickling
+        fork, forks = os.fork, []
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setenv("MINSURF_THREADS", "2")
         outdir = tmp_path / "gen_frames"
         code = main(["animate", "--family", "general",
@@ -482,6 +497,7 @@ class TestAnimate:
                      "--outdir", str(outdir)])
         assert code == 0
         assert (outdir / "frame_0001.obj").exists()
+        assert len(forks) == 1
 
 
 class TestVerifyCommand:
@@ -613,6 +629,10 @@ OVERFLOW_CASES = [
      "or float64 overflow); shrink the domain or the parameter"),
     (["animate", "--family", "catenoid-helicoid", "--c", "1e300", "--frames", "3"],
      "rim scale of catenoid-helicoid:theta=0 overflows float64"),
+    # frame 1 fails first; with 2 workers it fails in the forked worker
+    (["animate", "--family", "bour-t", "--t1", "1e300", "--frames", "3"],
+     "immersion for bour-t:t=5e+299 is not finite on the domain (a singularity, "
+     "or float64 overflow); shrink the domain or the parameter"),
 ]
 
 
@@ -628,6 +648,31 @@ def test_overflowing_data_is_one_error_line(args, line, tmp_path, capsys, monkey
         assert capsys.readouterr().err == f"error: {line}\n"
     # a failed run leaves no mesh, no frame and no manifest behind
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["animate", "--family", "general", "--harmonic-pair",
+                  f"{terms(500)};{terms(500, 'v')}"],
+                 "expression is nested deeper than 256 levels", id="500-term-pair"),
+    pytest.param(["gen", "--surface", "enneper", "--config", "deep.json"],
+                 "config file is nested too deeply", id="100000-nested-config"),
+])
+def test_long_input_is_one_error_line(argv, line, tmp_path, capsys, monkeypatch):
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    monkeypatch.chdir(tmp_path)  # the default --out and --outdir land here
+    assert main(argv + ["--grid", "9x9"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
+
+def test_200_term_expression_still_compiles(tmp_path):
+    # u-u+u-u+... is 0 at every sample, so this is the F = 1 surface
+    long = tmp_path / "long.obj"
+    assert main(["gen", "--surface", f"custom:{terms(100, 'u-u')};{terms(100, 'v-v')}",
+                 "--grid", "9x9", "--out", str(long)]) == 0
+    assert main(["gen", "--surface", "custom:0;0", "--grid", "9x9",
+                 "--out", str(tmp_path / "short.obj")]) == 0
+    assert read_bytes(long) == read_bytes(tmp_path / "short.obj")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -670,10 +715,10 @@ def test_thread_count_below_one_rejected(command, threads, tmp_path, capsys,
 def test_importing_the_cli_loads_no_process_or_test_machinery():
     # every command imports verify, so whatever it imports adds to each
     # command's start-up; unittest.mock alone would bring in asyncio, and
-    # gen forks its workers itself, without multiprocessing
+    # blocks forks its workers itself, without multiprocessing or a pool
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, minsurf.cli; print(*sorted({'subprocess', 'unittest',"
-            " 'asyncio', 'multiprocessing', 'concurrent.futures.process'}"
+            " 'asyncio', 'multiprocessing', 'concurrent.futures', 'logging'}"
             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,

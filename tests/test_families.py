@@ -1,5 +1,7 @@
 """Tests for the associate-family constructors."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -143,22 +145,27 @@ class TestFamilyFrames:
             b = np.linalg.norm(frame.surface.metric_vectors()[0], axis=-1)
             assert np.abs(a - b).max() < 1e-10
 
-    def test_threaded_build_matches_serial(self):
-        spec = FamilySpec("bour-t", frames=4)
-        serial = family_frames(spec, GRID, threads=1)
-        threaded = family_frames(spec, GRID, threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.surface.r, b.surface.r)
+    def test_forked_build_matches_serial(self):
+        spec = FamilySpec("bonnet", frames=4)
+        serial = [frame.surface.r.tobytes() for frame in family_frames(spec, GRID)]
+        for workers in (1, 2, 3, 8):
+            forked = family_frames(spec, GRID, lambda frame: frame.surface.r.tobytes(),
+                                   workers)
+            assert forked == serial
 
     def test_each_results_keep_frame_order(self):
         spec = FamilySpec("bour-t", frames=5)
         frames = family_frames(spec, GRID)
-        for threads in (1, 3):
-            out = family_frames(spec, GRID, threads=threads,
-                                each=lambda frame: (frame.index, frame.surface.r))
-            assert [index for index, _ in out] == list(range(5))
-            for (_, r), frame in zip(out, frames):
-                assert np.array_equal(r, frame.surface.r)
+
+        def record(frame):  # index and builder, then the bits of r
+            return b"%d %d " % (frame.index, os.getpid()) + frame.surface.r.tobytes()
+
+        for workers in (1, 2, 3, 8):
+            out = [rec.split(b" ", 2) for rec in family_frames(spec, GRID, record, workers)]
+            assert [int(index) for index, _, _ in out] == list(range(5))
+            assert len({pid for _, pid, _ in out}) == min(workers, 5)
+            for (_, _, r), frame in zip(out, frames):
+                assert r == frame.surface.r.tobytes()
 
     def test_non_harmonic_general_pair_rejected(self):
         spec = FamilySpec("general", harmonic_pair=(
