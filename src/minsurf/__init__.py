@@ -3,14 +3,12 @@ splits, and bending-neutral deformation analysis."""
 
 from .bendneutral import (
     BendingContent,
-    CompatibilityReport,
     DeformationField,
     alpha_from_phi,
     bending_cross_check,
     bending_drilling_field,
     chain_rule_residual,
     compatibility_ratio,
-    compatibility_report,
     deformation_between,
     image_mean_curvature_check,
     integrability_residual_general,

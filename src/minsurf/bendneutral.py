@@ -184,16 +184,6 @@ def compatibility_ratio(kappa1, kappa2, alpha, beta):
     return ratio if ratio.ndim else float(ratio)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Reduced-case compatibility: stretch ratio both ways plus the
-    symmetry defect of the image curvature tensor."""
-
-    ratio_lhs: np.ndarray
-    ratio_rhs: np.ndarray
-    symmetry_residual: float
-
-
 def _image_curvature_tensor(kappa1, kappa2, lam, alpha):
     """Image curvature tensor of the reduced case over the broadcast shape of
     the inputs, in the fixed frame (n1, n2, nu) = (e1, e2, e3)."""
@@ -226,20 +216,6 @@ def image_mean_curvature_check(kappa1, kappa2, lam, alpha):
         raise InvalidInputError("lambda must be positive")
     tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha)
     return np.abs(np.trace(tensor, axis1=-2, axis2=-1))
-
-
-def compatibility_report(kappa1, kappa2, lam, alpha):
-    """Reduced-case report: mu2/mu1 against the scalar compatibility law,
-    plus the symmetry defect of the image curvature tensor."""
-    kappa1 = np.asarray(kappa1, dtype=float)
-    kappa2 = np.asarray(kappa2, dtype=float)
-    ratio_rhs = compatibility_ratio(kappa1, kappa2, alpha, 0.0)
-    tensor = _image_curvature_tensor(kappa1, kappa2, lam, alpha)
-    shape = tensor.shape[:-2]
-    antisym = tensor - np.swapaxes(tensor, -1, -2)
-    return CompatibilityReport(np.broadcast_to(-kappa2 / kappa1, shape),
-                               np.broadcast_to(ratio_rhs, shape),
-                               float(np.abs(antisym).max()))
 
 
 # -- bending and drilling content --------------------------------------------------

@@ -3,9 +3,8 @@ verification suite.
 
 Exit codes: 0 success, 1 verification check failure, 2 invalid input,
 3 I/O failure.  MINSURF_THREADS (a positive integer; by default the CPUs
-this process may run on) sets the forked workers of ``gen`` and
-``animate``; outputs are bit-identical for any setting.  ``verify`` reads
-it only through the ``animate`` runs of check 12.
+this process may run on) sets the forked workers of ``gen``, ``animate``
+and ``verify``; outputs are bit-identical for any setting.
 
 Options may also be supplied through a JSON file (``--config``); a flag
 given on the command line wins over the file, whatever its value.
@@ -215,6 +214,7 @@ REFINEMENT_CHECKS = ["03-weierstrass-identities", "05-gauss-curvature",
 
 
 def cmd_verify(args):
+    workers = _threads()
     if args.grid_refinement and args.check:
         raise InvalidInputError("--grid-refinement selects its own checks; "
                                 "it cannot be combined with --check")
@@ -224,7 +224,7 @@ def cmd_verify(args):
     if args.grid_refinement:
         checks = REFINEMENT_CHECKS
     start = time.perf_counter()
-    report = verify.run_suite(checks)
+    report = verify.run_suite(checks, workers)
     elapsed = time.perf_counter() - start
     with open(args.out, "w") as fh:
         fh.write(verify.report_to_json(report))

@@ -12,13 +12,15 @@ Each check pins its own grids, stencil orders and tolerances:
   finite-difference layer (5 for order-4 two-layer chains), keeping
   interior accuracy claims free of one-sided-stencil pollution.
 
-Everything is seeded, and the checks run one after another in one process.
-Only check 12's in-process ``animate`` runs, at MINSURF_THREADS 1, 2 and 8,
-fork workers, and the variable is read only by those runs, so repeated
-runs under any MINSURF_THREADS value produce bit-identical reports; timings
-(CPU time in checks 01 and 02, so the verdicts do not depend on machine
-load) are never written into the report, only compared against their
-bounds.
+Everything is seeded.  :func:`run_suite` runs the checks on
+``blocks.ordered_map`` workers (``cli`` passes MINSURF_THREADS), each
+worker building the surfaces it reads into its own copy of the cache, and
+every check's record comes back as JSON, whose float repr round-trips, so
+repeated runs under any MINSURF_THREADS value produce bit-identical
+reports.  Check 12's in-process ``animate`` runs, at MINSURF_THREADS 1, 2
+and 8, fork workers of their own.  Timings (CPU time in checks 01 and 02,
+so the verdicts do not depend on machine load) are never written into the
+report, only compared against their bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import meshio
+from . import blocks, meshio
 from .bendneutral import (
     alpha_from_phi,
     bending_cross_check,
@@ -558,8 +560,9 @@ CRITERIA = {
 }
 
 
-def run_suite(checks=None):
-    """Run the selected checks (all by default); returns the report dict."""
+def run_suite(checks=None, workers=1):
+    """Run the selected checks (all by default) on ``workers`` processes;
+    returns the report dict, the same for any ``workers``."""
     from .errors import InvalidInputError
 
     selected = list(CRITERIA) if not checks else list(checks)
@@ -568,12 +571,20 @@ def run_suite(checks=None):
         raise InvalidInputError(f"unknown checks: {unknown} "
                                 f"(available: {list(CRITERIA)})")
     cache = _SurfaceCache()
-    results = [CRITERIA[check_id](cache) for check_id in selected]
-    passed = sum(1 for r in results if r.passed)
+
+    def record(check_id):
+        # a forked worker fills its own copy of the empty cache, so no
+        # surface crosses a pipe; CRITERIA is read at call time, so that a
+        # wrapper installed in it still applies
+        return json.dumps(asdict(CRITERIA[check_id](cache))).encode()
+
+    results = [json.loads(data)
+               for data in blocks.ordered_map(record, selected, workers)]
+    passed = sum(1 for r in results if r["passed"])
     return {
         "suite": "minsurf-verification",
         "grids": {"coarse": f"{COARSE}x{COARSE}", "fine": f"{FINE}x{FINE}"},
-        "checks": [asdict(r) for r in results],
+        "checks": results,
         "summary": {"total": len(results), "passed": passed,
                     "failed": len(results) - passed,
                     "all_passed": passed == len(results)},

@@ -6,6 +6,7 @@ this module only drives them and asserts the outcomes, plus the global
 runtime budget and report determinism.
 """
 
+import os
 import time
 
 import pytest
@@ -45,6 +46,18 @@ def test_report_is_deterministic():
     first = report_to_json(run_suite(subset))
     second = report_to_json(run_suite(subset))
     assert first == second
+
+
+def test_report_bytes_do_not_depend_on_the_worker_count():
+    # 08 and 11 read the same cached enneper surfaces, which each worker
+    # builds for itself
+    subset = ["08-integrability", "09-image-minimality", "10-bonnet-isometry",
+              "11-circulation", "12-determinism-io"]
+    serial = report_to_json(run_suite(subset))
+    for workers in (2, 3, 8):
+        assert report_to_json(run_suite(subset, workers)) == serial, workers
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_every_criterion_appears_exactly_once(full_run):

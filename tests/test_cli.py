@@ -512,9 +512,41 @@ class TestVerifyCommand:
         assert report["summary"]["all_passed"]
         assert [c["check_id"] for c in report["checks"]] == ["09-image-minimality"]
 
-    def test_unknown_check_rejected(self, tmp_path):
-        assert main(["verify", "--check", "nope",
+    def test_unknown_check_rejected(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setenv("MINSURF_THREADS", "2")
+        assert main(["verify", "--check", "09-image-minimality,nope",
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("error, code, err", [
+        (RuntimeError("check failed in a worker"), 3,
+         "i/o error: worker 1 failed: RuntimeError: check failed in a worker\n"),
+        (InvalidInputError("check refused in a worker"), 2,
+         "error: check refused in a worker\n")], ids=["io", "invalid"])
+    def test_check_failing_in_a_worker(self, error, code, err, tmp_path, capsys,
+                                       monkeypatch):
+        from minsurf import verify
+
+        parent, check = os.getpid(), verify.CRITERIA["09-image-minimality"]
+
+        def fails_in_worker(cache):
+            if os.getpid() != parent:
+                raise error
+            return check(cache)
+
+        monkeypatch.setitem(verify.CRITERIA, "09-image-minimality", fails_in_worker)
+        monkeypatch.setenv("MINSURF_THREADS", "2")
+        report_path = tmp_path / "r.json"
+        # the caller runs 01, worker 1 runs 09
+        assert main(["verify", "--check", "01-rotation-split,09-image-minimality",
+                     "--out", str(report_path)]) == code
+        assert capsys.readouterr().err == err
+        assert not report_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_repeated_reports_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -700,13 +732,14 @@ def test_smaller_run_leaves_only_its_own_frames(tmp_path):
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize("command", [
-    ["gen", "--surface", "enneper", "--out"],
-    ["animate", "--family", "bour-t", "--frames", "2", "--outdir"]],
-    ids=["gen", "animate"])
+    ["gen", "--surface", "enneper", "--grid", "9x9", "--out"],
+    ["animate", "--family", "bour-t", "--frames", "2", "--grid", "9x9", "--outdir"],
+    ["verify", "--check", "09-image-minimality", "--out"]],
+    ids=["gen", "animate", "verify"])
 def test_thread_count_below_one_rejected(command, threads, tmp_path, capsys,
                                          monkeypatch):
     monkeypatch.setenv("MINSURF_THREADS", threads)
-    assert main(command + [str(tmp_path / "out"), "--grid", "9x9"]) == 2
+    assert main(command + [str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"error: MINSURF_THREADS must be a positive integer, got '{threads}'\n")
     assert list(tmp_path.iterdir()) == []
