@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import meshio, verify
+from . import meshio
 from .errors import InvalidInputError
 from .families import FamilySpec, family_frames
 from .weierstrass import DomainGrid, integrate_representation, parse_surface_spec
@@ -214,6 +214,8 @@ REFINEMENT_CHECKS = ["03-weierstrass-identities", "05-gauss-curvature",
 
 
 def cmd_verify(args):
+    from . import verify  # only this command pays for importing the suite
+
     workers = _threads()
     if args.grid_refinement and args.check:
         raise InvalidInputError("--grid-refinement selects its own checks; "

@@ -94,9 +94,13 @@ class FamilyFrame:
 
 
 def validate_family(spec: FamilySpec, grid: DomainGrid):
-    """Check that the general transformation pair is a conjugate harmonic
-    pair on the grid (Cauchy-Riemann and harmonicity), before any frame
-    is built."""
+    """Check on the grid, once and before any frame is built, what makes
+    every member holomorphic: a non-power base of a bonnet or general
+    family, and the general transformation pair, which must be a conjugate
+    harmonic pair (Cauchy-Riemann and harmonicity)."""
+    if spec.kind in ("bonnet", "general") and spec.base.power is None:
+        require_holomorphic(spec.base, grid,
+                            f"datum {spec.base.label!r} fails the holomorphy check")
     if spec.kind != "general":
         return
     phi_h, theta_h = spec.harmonic_pair
@@ -113,14 +117,15 @@ def family_frames(spec: FamilySpec, grid: DomainGrid, each=None, workers=1):
     the process that builds a frame passes it to ``each`` and keeps only the
     result, so the list holds ``each(frame)`` instead and at most one
     surface per process is alive at a time; with ``workers > 1``, ``each``
-    must return ``bytes``.  Every frame shares the grid's normal field.
+    must return ``bytes``.  Every frame shares the grid's normal field.  The
+    holomorphy guard runs once, in :func:`validate_family`, not per member.
     """
     validate_family(spec, grid)
 
     def build(item):
         idx, t = item
-        frame = FamilyFrame(idx, float(t),
-                            integrate_representation(family_member(spec, t), grid))
+        frame = FamilyFrame(idx, float(t), integrate_representation(
+            family_member(spec, t), grid, _checked=True))
         return frame if each is None else each(frame)
 
     return list(ordered_map(build, enumerate(spec.parameter_values()), workers))

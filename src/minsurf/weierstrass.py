@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,8 +25,6 @@ from . import fd
 from .blocks import ordered_map
 from .errors import DomainError, InvalidInputError
 from .surfcalc import CurvatureData, FrameField, SurfacePatch, path_integrate
-
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Grid lines per block of the quadrature edge pass: at 384 edges a line,
 # each (lines, edges, 16, 3) complex temporary of a block is about 2.4 MB.
@@ -505,6 +503,13 @@ def _catalog_position(power, rho, phi):
     return np.stack([i1.real, i2.real, a_k1.real], axis=-1)
 
 
+@cache
+def _gauss_rule():
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1],
+    computed on first use: only non-power data are integrated by it."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _edge_integrals(datum, grid, axis, workers=1):
     """16-point Gauss-Legendre integrals of the representation integrands
     over every grid edge along the given axis (for the immersion, axis 1 on
@@ -517,11 +522,12 @@ def _edge_integrals(datum, grid, axis, workers=1):
     among ``workers`` processes.  Every value goes through the same
     operations in the same order for any block size and worker count.
     """
+    nodes, weights = _gauss_rule()
     moving = grid.s if axis == 0 else grid.t
     fixed = grid.t if axis == 0 else grid.s
     a, b = moving[:-1], moving[1:]
     half = 0.5 * (b - a)
-    sigma = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES  # (ne, 16)
+    sigma = (0.5 * (a + b))[:, None] + half[:, None] * nodes  # (ne, 16)
 
     def block(start):
         rows = fixed[start:start + EDGE_BLOCK_ROWS]
@@ -535,7 +541,7 @@ def _edge_integrals(datum, grid, axis, workers=1):
         f = np.exp(p + 1j * c)
         g = np.stack([0.5 * (1.0 - w * w) * f, 0.5j * (1.0 + w * w) * f, w * f],
                      axis=-1)
-        weighted = np.einsum("q,feqk->fek", GAUSS_WEIGHTS,
+        weighted = np.einsum("q,feqk->fek", weights,
                              g * (dw * np.ones_like(w))[..., None])
         return (weighted * half[None, :, None]).tobytes()
 
@@ -547,12 +553,15 @@ def _edge_integrals(datum, grid, axis, workers=1):
     return np.moveaxis(out, 1, 0) if axis == 0 else out
 
 
-def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid, workers=1):
+def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid, workers=1,
+                             *, _checked=False):
     """Build the immersion on the grid; returns a :class:`WeierstrassSurface`.
 
     Power data F = c w^k take exact antiderivatives.  Every other datum
-    must first pass the holomorphy guard, then is integrated by composite
-    16-point Gauss-Legendre quadrature along row-first paths from the anchor,
+    must first pass the holomorphy guard, unless ``_checked`` says that
+    :func:`minsurf.families.validate_family` has checked what makes it
+    holomorphic (a family member's base and pair); it is then integrated by
+    composite 16-point Gauss-Legendre quadrature along row-first paths from the anchor,
     its edge pass shared among ``workers`` forked processes (the same bits
     for any count; see :func:`minsurf.blocks.ordered_map`).
     """
@@ -563,8 +572,9 @@ def integrate_representation(datum: HolomorphicDatum, grid: DomainGrid, workers=
             r = _catalog_position(datum.power, rho, phi)
             r = r - r[grid.anchor]
     else:
-        require_holomorphic(datum, grid,
-                            f"datum {datum.label!r} fails the holomorphy check")
+        if not _checked:
+            require_holomorphic(datum, grid,
+                                f"datum {datum.label!r} fails the holomorphy check")
         i0 = grid.anchor[0]
         edges_s = _edge_integrals(datum, grid, axis=0, workers=workers)
         edges_t = _edge_integrals(datum, DomainGrid(grid.s[i0:i0 + 1], grid.t), axis=1)

@@ -172,7 +172,7 @@ class TestGen:
         assert np.array_equal(faces, mesh.faces)
 
     def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
-        # 96 x 96 rows are two write blocks; the quadrature pass has twelve
+        # 96 x 96 rows are five write blocks; the quadrature pass has twelve
         fork, forks = os.fork, []
 
         def counted_fork():
@@ -470,6 +470,19 @@ class TestAnimate:
         assert "conjugate harmonic pair" in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("family", ["general", "bonnet"])
+    def test_non_holomorphic_base_writes_no_frame(self, family, tmp_path, capsys):
+        # the members are not probed one by one: the base is, before frame 0
+        outdir = tmp_path / "frames"
+        code = main(["animate", "--family", family, "--base", "custom:u*u;0",
+                     "--harmonic-pair", "u;v", "--grid", "9x9", "--frames", "3",
+                     "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: datum 'custom:u*u;0' fails the holomorphy check")
+        assert err.count("\n") == 1, err
+        assert list(outdir.iterdir()) == []
+
     def test_general_family_rmin_zero_writes_no_frame(self, tmp_path, capsys):
         outdir = tmp_path / "frames"
         code = main(["animate", "--family", "general", "--base", "catenoid",
@@ -746,13 +759,14 @@ def test_thread_count_below_one_rejected(command, threads, tmp_path, capsys,
 
 
 def test_importing_the_cli_loads_no_process_or_test_machinery():
-    # every command imports verify, so whatever it imports adds to each
-    # command's start-up; unittest.mock alone would bring in asyncio, and
-    # blocks forks its workers itself, without multiprocessing or a pool
+    # whatever the cli imports adds to every command's start-up:
+    # unittest.mock alone would bring in asyncio, blocks forks its workers
+    # itself, without multiprocessing or a pool, only verify imports the
+    # suite, and only the quadrature path needs numpy.polynomial's rule
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, minsurf.cli; print(*sorted({'subprocess', 'unittest',"
-            " 'asyncio', 'multiprocessing', 'concurrent.futures', 'logging'}"
-            " & set(sys.modules)))")
+            " 'asyncio', 'multiprocessing', 'concurrent.futures', 'logging',"
+            " 'minsurf.verify', 'numpy.polynomial'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))

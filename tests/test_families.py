@@ -167,6 +167,26 @@ class TestFamilyFrames:
             for (_, _, r), frame in zip(out, frames):
                 assert r == frame.surface.r.tobytes()
 
+    # a holomorphic base plus a conjugate harmonic pair makes every member
+    # holomorphic: the pair, and a non-power base, are each checked once
+    @pytest.mark.parametrize("kind, base, probes", [
+        ("general", "enneper", 1), ("general", "custom:ln(rho)+u;phi+v", 2),
+        ("bonnet", "enneper", 0), ("bonnet", "custom:ln(rho)+u;phi+v", 1)])
+    def test_one_holomorphy_probe_per_family(self, kind, base, probes, monkeypatch):
+        from minsurf import weierstrass
+
+        calls, validate = [], weierstrass.validate_holomorphy
+
+        def counted(datum, grid):
+            calls.append(datum.label)
+            return validate(datum, grid)
+
+        monkeypatch.setattr(weierstrass, "validate_holomorphy", counted)
+        spec = FamilySpec(kind, frames=5, base=weierstrass.parse_surface_spec(base),
+                          harmonic_pair=(lambda u, v, r, p: u, lambda u, v, r, p: v))
+        frames = family_frames(spec, DomainGrid.polar(0.5, 1.5, 9, 9))
+        assert len(frames) == 5 and len(calls) == probes
+
     def test_non_harmonic_general_pair_rejected(self):
         spec = FamilySpec("general", harmonic_pair=(
             lambda u, v, r, p: u**2,
